@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -60,6 +61,10 @@ class Rng {
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& values) {
+    shuffle(std::span<T>(values));
+  }
+  template <typename T>
+  void shuffle(std::span<T> values) {
     for (std::size_t i = values.size(); i > 1; --i) {
       std::size_t j = static_cast<std::size_t>(uniform_int(
           static_cast<std::int64_t>(i)));

@@ -1,6 +1,9 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 namespace tvmbo {
 
@@ -64,17 +67,53 @@ void ThreadPool::parallel_for_chunks(
     fn(0, count);
     return;
   }
+
+  // Shared with the helper tasks, which may outlive this call: a helper
+  // that starts after every chunk was claimed sees the cursor exhausted
+  // and returns without touching `fn` or this frame.
+  struct Shared {
+    std::atomic<std::size_t> cursor{0};
+    std::mutex mutex;
+    std::condition_variable finished;
+    std::size_t done = 0;
+    std::exception_ptr error;
+  };
+  auto shared = std::make_shared<Shared>();
   const std::size_t base = count / chunks;
   const std::size_t extra = count % chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t end = begin + base + (c < extra ? 1 : 0);
-    futures.push_back(submit([&fn, begin, end] { fn(begin, end); }));
-    begin = end;
+  const auto* body = &fn;
+  auto run_claimed = [shared, chunks, base, extra, body] {
+    for (std::size_t c = shared->cursor.fetch_add(1); c < chunks;
+         c = shared->cursor.fetch_add(1)) {
+      const std::size_t begin = c * base + std::min(c, extra);
+      const std::size_t end = begin + base + (c < extra ? 1 : 0);
+      std::exception_ptr error;
+      try {
+        (*body)(begin, end);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(shared->mutex);
+      if (error && !shared->error) shared->error = std::move(error);
+      if (++shared->done == chunks) shared->finished.notify_all();
+    }
+  };
+  enqueue(run_claimed, chunks - 1);
+  run_claimed();
+  // Every chunk is claimed by now; wait for the ones workers started
+  // (never for a queued helper) before the frame holding `fn` unwinds.
+  std::unique_lock<std::mutex> lock(shared->mutex);
+  shared->finished.wait(lock, [&] { return shared->done == chunks; });
+  if (shared->error) std::rethrow_exception(shared->error);
+}
+
+void ThreadPool::enqueue(const std::function<void()>& task,
+                         std::size_t copies) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < copies; ++i) queue_.push_back(task);
   }
-  for (auto& future : futures) future.get();
+  for (std::size_t i = 0; i < copies; ++i) wake_.notify_one();
 }
 
 ThreadPool& default_thread_pool() {

@@ -1,6 +1,16 @@
 // Fixed-size worker pool used for batched measurement (AutoTVM measures a
 // batch of candidate configs per round; on multi-core hosts the CpuDevice
-// compiles/validates them concurrently) and for Random-Forest training.
+// compiles/validates them concurrently), for the Random-Forest fit and
+// candidate scoring inside ytopt's ask, and for parallel loops of the
+// closure backend.
+//
+// parallel_for / parallel_for_chunks are caller-participating: the calling
+// thread claims chunks from a shared atomic cursor alongside the workers
+// and waits only for chunks a worker has already started. When every
+// worker is busy (e.g. with in-flight measurements queued by an async
+// MeasureRunner) the caller simply runs all chunks itself instead of
+// queueing behind unrelated tasks; the helper tasks it queued later find
+// the cursor exhausted and return without touching the caller's state.
 //
 // The design follows the Core Guidelines concurrency advice: the pool owns
 // its threads (RAII join in the destructor), tasks communicate results via
@@ -41,34 +51,34 @@ class ThreadPool {
     using R = std::invoke_result_t<F>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> future = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      queue_.emplace_back([task] { (*task)(); });
-    }
-    wake_.notify_one();
+    enqueue([task] { (*task)(); }, 1);
     return future;
   }
 
-  /// Runs fn(i) for i in [0, count) across the pool and blocks until all
-  /// complete. Work is split into at most num_threads() contiguous chunks
-  /// (one task each, not one per item). Exceptions from tasks are
-  /// rethrown (first chunk wins). Calls from inside a worker thread run
-  /// inline — dispatching would deadlock once every worker blocks in
-  /// get() on tasks still sitting in the queue.
+  /// Runs fn(i) for i in [0, count) across the pool and the calling
+  /// thread and blocks until all complete. Work is split into at most
+  /// num_threads() contiguous chunks (not one task per item), claimed
+  /// through a shared cursor; the caller runs chunks itself and waits only
+  /// for chunks a worker has started, so it never queues behind unrelated
+  /// pool tasks. Every claimed chunk finishes before the call returns or
+  /// throws; the first exception recorded is then rethrown. Calls from
+  /// inside a worker thread run inline, in order.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
   /// Range-chunked variant: splits [0, count) into at most `max_chunks`
   /// contiguous chunks (additionally capped by num_threads()) and runs
-  /// fn(begin, end) per chunk, blocking until all complete. `max_chunks`
+  /// fn(begin, end) per chunk with the same caller-participating,
+  /// wait-for-every-claimed-chunk semantics as parallel_for. `max_chunks`
   /// of 0 means num_threads(). Degenerate cases (count <= 1, one chunk,
   /// or a call from inside a worker thread) run fn(0, count) inline.
-  /// Exceptions from chunk tasks are rethrown (first chunk wins).
   void parallel_for_chunks(
       std::size_t count, std::size_t max_chunks,
       const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
+  /// Queues `copies` copies of `task` and wakes that many workers.
+  void enqueue(const std::function<void()>& task, std::size_t copies);
   void worker_loop();
 
   std::vector<std::thread> workers_;

@@ -296,7 +296,12 @@ double SwingSimDevice::model_runtime(
 
 double SwingSimDevice::surface_runtime(
     const Workload& workload, std::span<const std::int64_t> tiles) const {
-  const double base = model_runtime(workload, tiles);
+  return surface_from_model(workload, tiles, model_runtime(workload, tiles));
+}
+
+double SwingSimDevice::surface_from_model(
+    const Workload& workload, std::span<const std::int64_t> tiles,
+    double base) const {
   const std::uint64_t h = config_hash(workload, tiles);
   const double select = hash_uniform(hash64(h ^ 0xA0A0A0A0A0A0A0A0ull));
   double multiplier;
@@ -324,12 +329,17 @@ double SwingSimDevice::compile_time(
 
 double SwingSimDevice::power_watts(
     const Workload& workload, std::span<const std::int64_t> tiles) const {
+  return power_from_model(workload, tiles, model_runtime(workload, tiles));
+}
+
+double SwingSimDevice::power_from_model(
+    const Workload& workload, std::span<const std::int64_t> tiles,
+    double runtime) const {
   // Utilization proxy: the ratio of the best runtime the hardware could
   // reach (perfect-efficiency roofline, approximated by the calibrated
   // surface minimum region) to this configuration's runtime. Rather than
   // recomputing an exhaustive minimum, use flops/runtime against the
   // device's peak as achieved efficiency.
-  const double runtime = model_runtime(workload, tiles);
   const double achieved =
       std::max(workload.flops, 1.0) / std::max(runtime, 1e-9);
   const double efficiency =
@@ -355,7 +365,10 @@ MeasureResult SwingSimDevice::measure(const MeasureInput& input,
                                       const MeasureOption& option) {
   TVMBO_CHECK_GT(option.repeat, 0) << "repeat must be positive";
   MeasureResult result;
-  const double surface = surface_runtime(input.workload, input.tiles);
+  // The analytic model is most of a measurement's cost: evaluate it once
+  // for both the runtime surface and the power model.
+  const double model = model_runtime(input.workload, input.tiles);
+  const double surface = surface_from_model(input.workload, input.tiles, model);
   // Per-measurement jitter averaged over `repeat` runs.
   double total = 0.0;
   for (int i = 0; i < option.repeat; ++i) {
@@ -364,7 +377,7 @@ MeasureResult SwingSimDevice::measure(const MeasureInput& input,
   result.runtime_s = total / static_cast<double>(option.repeat);
   result.compile_s = compile_time(input.workload, input.tiles);
   result.energy_j =
-      power_watts(input.workload, input.tiles) * result.runtime_s;
+      power_from_model(input.workload, input.tiles, model) * result.runtime_s;
   if (option.timeout_s > 0.0 && result.runtime_s > option.timeout_s) {
     result.valid = false;
     result.error = "timeout";

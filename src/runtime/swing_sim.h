@@ -110,6 +110,14 @@ class SwingSimDevice final : public Device {
   double matmul_chain_time(const Workload& workload,
                            std::span<const std::int64_t> tiles) const;
   double calibration_scale(const Workload& workload) const;
+  /// surface_runtime / power_watts given the configuration's
+  /// model_runtime, so measure() evaluates the analytic model once.
+  double surface_from_model(const Workload& workload,
+                            std::span<const std::int64_t> tiles,
+                            double model) const;
+  double power_from_model(const Workload& workload,
+                          std::span<const std::int64_t> tiles,
+                          double model) const;
   std::uint64_t config_hash(const Workload& workload,
                             std::span<const std::int64_t> tiles) const;
 

@@ -26,8 +26,14 @@ std::size_t FeatureEncoder::num_features() const {
 
 std::vector<double> FeatureEncoder::encode(
     const cs::Configuration& config) const {
-  std::vector<double> features;
-  features.reserve(num_features());
+  std::vector<double> features(num_features());
+  encode(config, features);
+  return features;
+}
+
+void FeatureEncoder::encode(const cs::Configuration& config,
+                            std::span<double> out) const {
+  TVMBO_CHECK_EQ(out.size(), num_features()) << "feature buffer size";
   const std::vector<double> values = space_->values(config);
   for (std::size_t i = 0; i < space_->num_params(); ++i) {
     const auto& param = space_->param(i);
@@ -44,10 +50,9 @@ std::vector<double> FeatureEncoder::encode(
           static_cast<const cs::UniformFloatHyperparameter&>(param);
       position = (config.real(i) - f.lower()) / (f.upper() - f.lower());
     }
-    features.push_back(position);
-    features.push_back(std::log2(1.0 + std::fabs(values[i])));
+    out[2 * i] = position;
+    out[2 * i + 1] = std::log2(1.0 + std::fabs(values[i]));
   }
-  return features;
 }
 
 }  // namespace tvmbo::surrogate

@@ -31,6 +31,8 @@ class FeatureEncoder {
 
   std::size_t num_features() const;
   std::vector<double> encode(const cs::Configuration& config) const;
+  /// Writes the features into `out` (num_features() entries).
+  void encode(const cs::Configuration& config, std::span<double> out) const;
 
  private:
   const cs::ConfigurationSpace* space_;

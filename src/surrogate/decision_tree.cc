@@ -1,13 +1,22 @@
 #include "surrogate/decision_tree.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <cstdint>
 #include <numeric>
 
 #include "common/logging.h"
 
 namespace tvmbo::surrogate {
+
+FeatureColumns::FeatureColumns(const Dataset& data)
+    : rows_(data.size()), features_(data.num_features()),
+      values_(rows_ * features_) {
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t f = 0; f < features_; ++f) {
+      values_[f * rows_ + r] = data.x[r][f];
+    }
+  }
+}
 
 DecisionTree::DecisionTree(TreeOptions options) : options_(options) {
   TVMBO_CHECK_GT(options_.max_depth, 0) << "max_depth must be positive";
@@ -19,30 +28,65 @@ void DecisionTree::fit(const Dataset& data,
                        std::span<const std::size_t> rows, Rng* rng) {
   TVMBO_CHECK(!data.x.empty()) << "fit on empty dataset";
   TVMBO_CHECK_EQ(data.x.size(), data.y.size()) << "dataset size mismatch";
-  nodes_.clear();
-  std::vector<std::size_t> working;
+  TVMBO_CHECK_LE(data.size(), std::size_t{UINT32_MAX})
+      << "dataset too large for 32-bit row ids";
+  std::vector<std::uint32_t> working;
   if (rows.empty()) {
     working.resize(data.size());
-    std::iota(working.begin(), working.end(), std::size_t{0});
+    std::iota(working.begin(), working.end(), std::uint32_t{0});
   } else {
     working.assign(rows.begin(), rows.end());
   }
+  const FeatureColumns columns(data);
+  TreeScratch scratch(working.size(), columns.num_features());
+  reserve_nodes(working, data.size());
+  fit(columns, data.y, working, rng, scratch);
+}
+
+void DecisionTree::fit(const FeatureColumns& columns,
+                       std::span<const double> y,
+                       std::span<std::uint32_t> rows, Rng* rng,
+                       TreeScratch& scratch) {
+  TVMBO_CHECK(!rows.empty()) << "fit on empty dataset";
+  TVMBO_CHECK_EQ(columns.num_rows(), y.size()) << "dataset size mismatch";
+  TVMBO_CHECK_GE(scratch.keys.size(), rows.size())
+      << "tree scratch smaller than the sample";
+  TVMBO_CHECK_GE(scratch.features.size(), columns.num_features())
+      << "tree scratch smaller than the feature count";
   if (options_.max_features > 0) {
     TVMBO_CHECK(rng != nullptr)
         << "random feature subsetting requires an Rng";
   }
-  build(data, working, 0, working.size(), 0, rng);
+  nodes_.clear();
+  Build ctx{columns, y, rng, scratch};
+  build(ctx, rows, 0);
 }
 
-int DecisionTree::build(const Dataset& data,
-                        std::vector<std::size_t>& rows, std::size_t begin,
-                        std::size_t end, int depth, Rng* rng) {
-  TVMBO_CHECK_LT(begin, end) << "empty node range";
-  const std::size_t count = end - begin;
+void DecisionTree::reserve_nodes(std::span<const std::uint32_t> rows,
+                                 std::size_t num_rows) {
+  std::vector<bool> seen(num_rows);
+  std::size_t distinct = 0;
+  for (std::uint32_t row : rows) {
+    if (!seen[row]) {
+      seen[row] = true;
+      ++distinct;
+    }
+  }
+  std::size_t nodes = distinct == 0 ? 0 : 2 * distinct - 1;
+  if (options_.max_depth < 32) {
+    nodes = std::min(nodes, (std::size_t{2} << options_.max_depth) - 1);
+  }
+  nodes_.reserve(nodes);
+}
+
+int DecisionTree::build(Build& ctx, std::span<std::uint32_t> rows,
+                        int depth) {
+  TVMBO_CHECK(!rows.empty()) << "empty node range";
+  const std::size_t count = rows.size();
 
   double sum = 0.0, sum_sq = 0.0;
-  for (std::size_t i = begin; i < end; ++i) {
-    const double y = data.y[rows[i]];
+  for (std::uint32_t row : rows) {
+    const double y = ctx.y[row];
     sum += y;
     sum_sq += y * y;
   }
@@ -51,9 +95,7 @@ int DecisionTree::build(const Dataset& data,
       sum_sq / static_cast<double>(count) - node_mean * node_mean;
 
   auto make_leaf = [&]() -> int {
-    Node leaf;
-    leaf.value = node_mean;
-    nodes_.push_back(leaf);
+    nodes_.push_back(Node{.value = node_mean});
     return static_cast<int>(nodes_.size()) - 1;
   };
 
@@ -64,33 +106,37 @@ int DecisionTree::build(const Dataset& data,
   }
 
   // Candidate features: all, or a random subset.
-  const std::size_t num_features = data.num_features();
-  std::vector<std::size_t> features(num_features);
+  const std::size_t num_features = ctx.columns.num_features();
+  std::span<std::size_t> features(ctx.scratch.features.data(), num_features);
   std::iota(features.begin(), features.end(), std::size_t{0});
   if (options_.max_features > 0 &&
       static_cast<std::size_t>(options_.max_features) < num_features) {
-    rng->shuffle(features);
-    features.resize(static_cast<std::size_t>(options_.max_features));
+    ctx.rng->shuffle(features);
+    features = features.first(static_cast<std::size_t>(options_.max_features));
   }
 
   // Exact best split: for each candidate feature, sort this node's rows by
-  // the feature and scan split points between distinct values.
+  // the feature and scan split points between distinct values. The keys
+  // carry each feature's sorted order into the next feature's sort, and
+  // std::sort's permutation depends only on comparison outcomes, so ties
+  // land exactly where a sort of the row indices themselves would put them.
   double best_gain = options_.min_variance_decrease;
   int best_feature = -1;
   double best_threshold = 0.0;
 
-  std::vector<std::size_t> sorted(rows.begin() + begin, rows.begin() + end);
+  std::span<SortKey> keys(ctx.scratch.keys.data(), count);
+  for (std::size_t i = 0; i < count; ++i) keys[i].row = rows[i];
   const double total_sum = sum;
   for (std::size_t feature : features) {
-    std::sort(sorted.begin(), sorted.end(),
-              [&](std::size_t a, std::size_t b) {
-                return data.x[a][feature] < data.x[b][feature];
-              });
+    const double* column = ctx.columns.column(feature);
+    for (SortKey& key : keys) key.v = column[key.row];
+    std::sort(keys.begin(), keys.end(),
+              [](const SortKey& a, const SortKey& b) { return a.v < b.v; });
     double left_sum = 0.0;
     for (std::size_t i = 0; i + 1 < count; ++i) {
-      left_sum += data.y[sorted[i]];
-      const double v = data.x[sorted[i]][feature];
-      const double v_next = data.x[sorted[i + 1]][feature];
+      left_sum += ctx.y[keys[i].row];
+      const double v = keys[i].v;
+      const double v_next = keys[i + 1].v;
       if (v == v_next) continue;
       const std::size_t left_n = i + 1;
       const std::size_t right_n = count - left_n;
@@ -120,43 +166,36 @@ int DecisionTree::build(const Dataset& data,
   if (best_feature < 0) return make_leaf();
 
   // Partition rows in place around the chosen split.
-  const auto middle = std::partition(
-      rows.begin() + static_cast<std::ptrdiff_t>(begin),
-      rows.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t row) {
-        return data.x[row][static_cast<std::size_t>(best_feature)] <=
-               best_threshold;
+  const double* split_column =
+      ctx.columns.column(static_cast<std::size_t>(best_feature));
+  const auto middle =
+      std::partition(rows.begin(), rows.end(), [&](std::uint32_t row) {
+        return split_column[row] <= best_threshold;
       });
-  const std::size_t split =
-      static_cast<std::size_t>(middle - rows.begin());
-  TVMBO_CHECK(split > begin && split < end)
+  const auto split = static_cast<std::size_t>(middle - rows.begin());
+  TVMBO_CHECK(split > 0 && split < count)
       << "degenerate partition in tree build";
 
   const int node_index = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[static_cast<std::size_t>(node_index)].feature = best_feature;
-  nodes_[static_cast<std::size_t>(node_index)].threshold = best_threshold;
-  nodes_[static_cast<std::size_t>(node_index)].value = node_mean;
-
-  const int left = build(data, rows, begin, split, depth + 1, rng);
-  const int right = build(data, rows, split, end, depth + 1, rng);
-  nodes_[static_cast<std::size_t>(node_index)].left = left;
+  nodes_.push_back(Node{.value = best_threshold, .feature = best_feature});
+  build(ctx, rows.first(split), depth + 1);
+  const int right = build(ctx, rows.subspan(split), depth + 1);
   nodes_[static_cast<std::size_t>(node_index)].right = right;
   return node_index;
 }
 
 double DecisionTree::predict(std::span<const double> features) const {
   TVMBO_CHECK(fitted()) << "predict before fit";
-  const Node* node = &nodes_[0];
-  while (!node->is_leaf()) {
-    TVMBO_CHECK_LT(static_cast<std::size_t>(node->feature), features.size())
+  std::size_t node = 0;
+  while (!nodes_[node].is_leaf()) {
+    const Node& split = nodes_[node];
+    TVMBO_CHECK_LT(static_cast<std::size_t>(split.feature), features.size())
         << "feature arity mismatch in predict";
-    node = features[static_cast<std::size_t>(node->feature)] <=
-                   node->threshold
-               ? &nodes_[static_cast<std::size_t>(node->left)]
-               : &nodes_[static_cast<std::size_t>(node->right)];
+    node = features[static_cast<std::size_t>(split.feature)] <= split.value
+               ? node + 1
+               : static_cast<std::size_t>(split.right);
   }
-  return node->value;
+  return nodes_[node].value;
 }
 
 std::size_t DecisionTree::num_leaves() const {
@@ -167,10 +206,11 @@ std::size_t DecisionTree::num_leaves() const {
   return leaves;
 }
 
-std::size_t DecisionTree::depth_below(int node) const {
-  const Node& n = nodes_[static_cast<std::size_t>(node)];
+std::size_t DecisionTree::depth_below(std::size_t node) const {
+  const Node& n = nodes_[node];
   if (n.is_leaf()) return 1;
-  return 1 + std::max(depth_below(n.left), depth_below(n.right));
+  return 1 + std::max(depth_below(node + 1),
+                      depth_below(static_cast<std::size_t>(n.right)));
 }
 
 std::size_t DecisionTree::depth() const {

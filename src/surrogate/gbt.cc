@@ -1,6 +1,9 @@
 #include "surrogate/gbt.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "common/logging.h"
@@ -25,28 +28,34 @@ void GradientBoostedTrees::fit(const Dataset& data, Rng& rng) {
       std::accumulate(data.y.begin(), data.y.end(), 0.0) /
       static_cast<double>(n);
 
-  // Current model output per training row.
+  // Current model output per training row. Every round's tree reads the
+  // same feature columns; only the residual targets change.
   std::vector<double> prediction(n, base_score_);
-  Dataset residuals;
-  residuals.x = data.x;
-  residuals.y.resize(n);
+  const FeatureColumns columns(data);
+  std::vector<double> residuals(n);
 
   const std::size_t sample_size = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::llround(
              options_.subsample * static_cast<double>(n))));
+  std::vector<std::uint32_t> rows(sample_size);
+  TreeScratch scratch(rows.size(), columns.num_features());
 
   double previous_rmse = std::numeric_limits<double>::infinity();
   for (int round = 0; round < options_.num_rounds; ++round) {
     for (std::size_t i = 0; i < n; ++i) {
-      residuals.y[i] = data.y[i] - prediction[i];
+      residuals[i] = data.y[i] - prediction[i];
     }
     Rng round_rng = rng.split();
-    std::vector<std::size_t> rows;
     if (sample_size < n) {
-      rows = round_rng.sample_without_replacement(n, sample_size);
+      const std::vector<std::size_t> sampled =
+          round_rng.sample_without_replacement(n, sample_size);
+      std::copy(sampled.begin(), sampled.end(), rows.begin());
+    } else {
+      std::iota(rows.begin(), rows.end(), std::uint32_t{0});
     }
     DecisionTree tree(options_.tree);
-    tree.fit(residuals, rows, &round_rng);
+    tree.reserve_nodes(rows, n);
+    tree.fit(columns, residuals, rows, &round_rng, scratch);
 
     double sq_error = 0.0;
     for (std::size_t i = 0; i < n; ++i) {

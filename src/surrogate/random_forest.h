@@ -14,10 +14,12 @@ namespace tvmbo::surrogate {
 
 struct ForestOptions {
   int num_trees = 100;
-  /// Fit trees on the shared thread pool. Deterministic regardless: every
-  /// tree's RNG stream is derived up front, so parallel and serial fits
-  /// produce identical forests.
-  bool parallel_fit = false;
+  /// Fit trees on the shared thread pool, the calling thread included.
+  /// Deterministic regardless: every tree's RNG stream and bootstrap rows
+  /// are derived up front on the caller, so parallel and serial fits
+  /// produce identical forests. Pool threads never allocate: node storage
+  /// and scratch are sized before dispatch.
+  bool parallel_fit = true;
   /// Bootstrap sample fraction per tree (with replacement).
   double bootstrap_fraction = 1.0;
   bool bootstrap = true;
@@ -45,6 +47,11 @@ class RandomForest {
   double predict(std::span<const double> features) const;
   /// Mean and standard deviation across trees.
   Prediction predict_with_std(std::span<const double> features) const;
+  /// predict_with_std for each row of the row-major `features` matrix
+  /// (out.size() rows), bit-identical to one call per row: every row's
+  /// sums run over the trees in the same order.
+  void predict_batch(std::span<const double> features,
+                     std::span<Prediction> out) const;
 
  private:
   ForestOptions options_;

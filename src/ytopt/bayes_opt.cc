@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
+#include <unordered_map>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 
 namespace tvmbo::ytopt {
 
@@ -216,11 +219,35 @@ std::vector<cs::Configuration> BayesianOptimizer::propose(std::size_t n) {
 
   // qLCB: rank the whole pool by the acquisition and take the n best
   // distinct candidates (multi-point generalization of the single pick).
+  // The pool is drawn with replacement, so each distinct configuration is
+  // encoded once into a row-major matrix and scored once, in parallel
+  // chunks; duplicates take their first occurrence's score.
+  const std::size_t width = encoder_.num_features();
+  std::vector<std::size_t> distinct_of(candidates.size());
+  std::vector<double> features;
+  features.reserve(candidates.size() * width);
+  std::unordered_map<std::uint64_t, std::size_t> first;
+  first.reserve(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const auto [it, inserted] =
+        first.try_emplace(candidates[i].hash(), first.size());
+    if (inserted) {
+      features.resize(features.size() + width);
+      encoder_.encode(candidates[i], std::span(features).last(width));
+    }
+    distinct_of[i] = it->second;
+  }
+  std::vector<surrogate::Prediction> preds(first.size());
+  default_thread_pool().parallel_for_chunks(
+      preds.size(), 0, [&](std::size_t begin, std::size_t end) {
+        forest_.predict_batch(
+            std::span(features).subspan(begin * width, (end - begin) * width),
+            std::span(preds).subspan(begin, end - begin));
+      });
   std::vector<std::pair<double, std::size_t>> scored;
   scored.reserve(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const surrogate::Prediction pred =
-        forest_.predict_with_std(encoder_.encode(candidates[i]));
+    const surrogate::Prediction& pred = preds[distinct_of[i]];
     scored.emplace_back(pred.mean - options_.kappa * pred.std, i);
   }
   std::sort(scored.begin(), scored.end());

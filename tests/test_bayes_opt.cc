@@ -7,6 +7,8 @@
 #include <set>
 
 #include "configspace/divisors.h"
+#include "kernels/polybench.h"
+#include "runtime/swing_sim.h"
 #include "tuners/random_tuner.h"
 
 namespace tvmbo::ytopt {
@@ -337,6 +339,37 @@ TEST(BayesOpt, LocalFractionSurvivesVisitedNeighborhoods) {
   bo.warm_start(prior);
   bo.ask();
   EXPECT_GE(bo.last_local_candidates(), 5u);
+}
+
+TEST(BayesOpt, GoldenTrajectory) {
+  // Fixed-seed ytopt on the paper's lu/large surface: the hash of the
+  // proposal sequence pins the search bit for bit (RNG draws, forest
+  // structure, acquisition ranking). The hashes come from a plain serial
+  // implementation (row-indirect tree builder, one predict per candidate);
+  // any drift means a speedup changed the search.
+  const runtime::Workload workload =
+      kernels::make_workload("lu", kernels::Dataset::kLarge);
+  const cs::ConfigurationSpace space =
+      kernels::build_space("lu", workload.dims);
+  const std::uint64_t expected[] = {0x3f0f36f0a8bb6342ull,
+                                    0x3251669890715f7cull,
+                                    0x557937567ab5f21dull};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    runtime::SwingSimDevice device(2023 + seed);
+    BayesianOptimizer bo(&space, seed);
+    runtime::MeasureOption option;
+    option.repeat = 1;
+    std::uint64_t hash = 0;
+    for (int i = 0; i < 120; ++i) {
+      const cs::Configuration config = bo.ask();
+      hash = hash_combine(hash, config.hash());
+      runtime::MeasureInput input;
+      input.workload = workload;
+      input.tiles = space.values_int(config);
+      bo.tell(config, device.measure(input, option).runtime_s);
+    }
+    EXPECT_EQ(hash, expected[seed - 1]) << "seed " << seed;
+  }
 }
 
 TEST(BayesOpt, InvalidOptionsThrow) {

@@ -317,6 +317,39 @@ TEST(SwingSim, NoiseSigmaZeroMakesSurfaceEqualModel) {
                    device.model_runtime(w, tiles));
 }
 
+TEST(SwingSim, MeasureIsBitIdenticalToSurfaceAndPowerModels) {
+  // measure() evaluates the analytic model once and shares it between the
+  // runtime surface and the power model; every field must still equal the
+  // public per-quantity functions bit for bit.
+  for (const char* kernel : {"lu", "cholesky", "3mm"}) {
+    const Workload w = kernels::make_workload(kernel, kernels::Dataset::kLarge);
+    const auto space = kernels::build_space(kernel, w.dims);
+    SwingSimDevice device(11);
+    Rng jitter(11);  // the device's per-measurement jitter stream
+    Rng sampler(12);
+    MeasureOption option;
+    option.repeat = 3;
+    for (int i = 0; i < 20; ++i) {
+      MeasureInput input;
+      input.workload = w;
+      input.tiles = space.values_int(space.sample(sampler));
+      const MeasureResult result = device.measure(input, option);
+      const double surface = device.surface_runtime(w, input.tiles);
+      double total = 0.0;
+      for (int r = 0; r < option.repeat; ++r) {
+        total += surface *
+                 std::exp(device.params().jitter_sigma * jitter.normal());
+      }
+      const double runtime = total / static_cast<double>(option.repeat);
+      EXPECT_EQ(result.runtime_s, runtime) << kernel << " config " << i;
+      EXPECT_EQ(result.energy_j,
+                device.power_watts(w, input.tiles) * runtime)
+          << kernel << " config " << i;
+      EXPECT_EQ(result.compile_s, device.compile_time(w, input.tiles));
+    }
+  }
+}
+
 TEST(SwingSim, PathologicalConfigsAreDeterministicallySlower) {
   // With pathological_fraction = 1, every config carries the 1.5x-5.5x
   // multiplier; the surface must be uniformly above the base model.

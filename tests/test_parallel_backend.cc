@@ -411,7 +411,9 @@ TEST(ParallelDeterminism, FixedSeedSessionsReplayIdentically) {
   autotvm::Task task;
   task.name = "gemm_parallel_determinism";
   task.workload = workload;
-  task.config.define_knob("threads", {1, nproc()});
+  // As many distinct thread budgets as evaluations, so the session can
+  // complete its budget without exhausting the space.
+  task.config.define_knob("threads", {1, 2, 3, 4});
   task.instantiate = [data,
                       workload](const std::vector<std::int64_t>& knobs) {
     // Fixed tiles, parallel axis yo; only the thread budget is tuned.

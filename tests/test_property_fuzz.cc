@@ -442,6 +442,7 @@ TEST(PropertyFuzz, ParallelForestFitIsBitIdenticalToSerial) {
   }
   surrogate::ForestOptions serial_options;
   serial_options.num_trees = 24;
+  serial_options.parallel_fit = false;
   surrogate::ForestOptions parallel_options = serial_options;
   parallel_options.parallel_fit = true;
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "common/stats.h"
 #include "configspace/divisors.h"
@@ -135,6 +139,52 @@ TEST(RandomForest, DeterministicGivenSeed) {
   b.fit(data, rb);
   const std::vector<double> x{0.3, 0.7};
   EXPECT_DOUBLE_EQ(a.predict(x), b.predict(x));
+}
+
+TEST(RandomForest, BatchPredictIsBitIdenticalToPredictWithStd) {
+  Rng rng(21);
+  const Dataset data = quadratic_dataset(90, rng);
+  RandomForest forest(ForestOptions{.num_trees = 30});
+  Rng fit_rng(5);
+  forest.fit(data, fit_rng);
+  // A candidate pool with duplicates, as ytopt's with-replacement pool has:
+  // every third row repeats an earlier one.
+  std::vector<std::vector<double>> pool;
+  for (std::size_t i = 0; i < 60; ++i) {
+    if (i % 3 == 2) {
+      pool.push_back(pool[i / 2]);
+    } else {
+      pool.push_back({rng.uniform(), rng.uniform()});
+    }
+  }
+  std::vector<double> matrix;
+  for (const auto& row : pool) {
+    matrix.insert(matrix.end(), row.begin(), row.end());
+  }
+  std::vector<Prediction> batch(pool.size());
+  forest.predict_batch(matrix, batch);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const Prediction single = forest.predict_with_std(pool[i]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].mean),
+              std::bit_cast<std::uint64_t>(single.mean))
+        << "row " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[i].std),
+              std::bit_cast<std::uint64_t>(single.std))
+        << "row " << i;
+  }
+  // Chunked scoring (as ytopt runs it) matches the one-shot batch.
+  std::vector<Prediction> chunked(pool.size());
+  for (std::size_t begin = 0; begin < pool.size(); begin += 7) {
+    const std::size_t count = std::min<std::size_t>(7, pool.size() - begin);
+    forest.predict_batch(std::span(matrix).subspan(begin * 2, count * 2),
+                         std::span(chunked).subspan(begin, count));
+  }
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(chunked[i].mean),
+              std::bit_cast<std::uint64_t>(batch[i].mean));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(chunked[i].std),
+              std::bit_cast<std::uint64_t>(batch[i].std));
+  }
 }
 
 TEST(RandomForest, FitEmptyThrows) {

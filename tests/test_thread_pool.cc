@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace tvmbo {
@@ -119,6 +122,56 @@ TEST(ThreadPool, ParallelForStillPropagatesExceptions) {
                                    }
                                  }),
                std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForWaitsForEveryChunkBeforeRethrowing) {
+  // Regression: the first chunk's exception used to unwind the caller
+  // while sibling chunks still ran with a reference to its frame. Chunk 0
+  // throws at once; every other chunk must have finished (and bumped the
+  // counter) before the exception reaches the caller.
+  ThreadPool pool(4);
+  const std::size_t chunks = pool.num_threads();
+  std::atomic<std::size_t> finished{0};
+  try {
+    pool.parallel_for_chunks(chunks, 0, [&](std::size_t begin, std::size_t) {
+      if (begin == 0) throw std::runtime_error("chunk 0 boom");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished.fetch_add(1);
+    });
+    FAIL() << "exception not propagated";
+  } catch (const std::runtime_error&) {
+    EXPECT_EQ(finished.load(), chunks - 1);
+  }
+}
+
+TEST(ThreadPool, CallerRunsAllChunksWhileWorkersAreBlocked) {
+  // Caller participation: with every worker stuck on unrelated tasks (an
+  // async measurement backlog, say), parallel_for must still complete,
+  // run entirely on the calling thread, instead of waiting behind them.
+  ThreadPool pool(2);
+  std::latch started(2);
+  std::latch release(1);
+  std::vector<std::future<void>> blockers;
+  for (int i = 0; i < 2; ++i) {
+    blockers.push_back(pool.submit([&] {
+      started.count_down();
+      release.wait();
+    }));
+  }
+  started.wait();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(16, 0);
+  std::atomic<bool> off_caller{false};
+  pool.parallel_for(hits.size(), [&](std::size_t i) {
+    if (std::this_thread::get_id() != caller) off_caller = true;
+    ++hits[i];
+  });
+  EXPECT_FALSE(off_caller.load());
+  for (int hit : hits) EXPECT_EQ(hit, 1);
+  release.count_down();
+  for (auto& blocker : blockers) blocker.get();
+  // The helper tasks queued behind the blockers now run as no-ops.
+  pool.parallel_for(4, [](std::size_t) {});
 }
 
 TEST(ThreadPool, ParallelForChunksCoversRangeWithBoundedChunks) {
