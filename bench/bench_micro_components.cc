@@ -10,6 +10,7 @@
 #include "kernels/polybench.h"
 #include "kernels/reference.h"
 #include "kernels/te_kernels.h"
+#include "kernels/te_programs.h"
 #include "runtime/swing_sim.h"
 #include "surrogate/gbt.h"
 #include "surrogate/random_forest.h"
@@ -166,6 +167,25 @@ void BM_TeCompiledMatmul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_TeCompiledMatmul)->Arg(16)->Arg(32);
+
+// LU through the serve path's closure tier: the triangular trailing update
+// runs its `i > k && j > k` guard on every one of the n^3 update-nest
+// iterations, so this times guard compares as much as the MACs.
+void BM_TeCompiledLu(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  const std::vector<std::int64_t> tiles = {8, 8};
+  kernels::TeProgramInstance instance(kernels::make_te_kernel_data("lu", {n}),
+                                      tiles);
+  const te::CompiledProgram compiled =
+      te::CompiledProgram::compile(instance.stmt(), instance.bindings());
+  for (auto _ : state) {
+    instance.reset();  // element-wise refill, O(n^2) next to the O(n^3) run
+    compiled.run();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * n * n);
+}
+BENCHMARK(BM_TeCompiledLu)->Arg(40)->Arg(64);
 
 void BM_TeJitMatmul(benchmark::State& state) {
   if (!codegen::JitProgram::toolchain_available()) {

@@ -1,8 +1,11 @@
 #include "te/compile.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <optional>
 
+#include "analysis/affine.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 
@@ -14,6 +17,247 @@ using Regs = std::int64_t*;
 using FExpr = std::function<double(Regs)>;
 using FIndex = std::function<std::int64_t(Regs)>;
 using FStmt = std::function<void(Regs)>;
+
+/// Register files up to this many slots live on the stack.
+constexpr std::size_t kStackRegisters = 16;
+
+/// Runs `body` on a fresh register file of `slots` registers, copied from
+/// `init` when given (a parallel chunk's private copy) and zeroed
+/// otherwise.
+template <class Body>
+void with_registers(const std::int64_t* init, std::size_t slots,
+                    const Body& body) {
+  if (slots <= kStackRegisters) {
+    std::array<std::int64_t, kStackRegisters> regs{};
+    if (init != nullptr) std::copy(init, init + slots, regs.begin());
+    body(regs.data());
+    return;
+  }
+  std::vector<std::int64_t> regs(slots, 0);
+  if (init != nullptr) std::copy(init, init + slots, regs.begin());
+  body(regs.data());
+}
+
+/// One `coefficient * r[slot]` term of a folded affine form.
+struct SlotTerm {
+  std::size_t slot = 0;
+  std::int64_t coeff = 0;
+  bool operator==(const SlotTerm&) const = default;
+};
+
+/// An affine integer expression folded over the register file:
+/// `constant + Σ coeff·r[slot]`, terms sorted by slot, no zero coefficient.
+struct SlotForm {
+  std::int64_t constant = 0;
+  std::vector<SlotTerm> terms;
+  bool operator==(const SlotForm&) const = default;
+
+  /// Adds `scale * other` (unnormalized; call normalize() afterwards).
+  void add(const SlotForm& other, std::int64_t scale) {
+    constant += scale * other.constant;
+    for (const SlotTerm& t : other.terms) {
+      terms.push_back({t.slot, scale * t.coeff});
+    }
+  }
+
+  /// Sorts terms by slot, merges duplicates and drops cancelled terms.
+  void normalize() {
+    std::sort(terms.begin(), terms.end(),
+              [](const SlotTerm& a, const SlotTerm& b) {
+                return a.slot < b.slot;
+              });
+    std::vector<SlotTerm> merged;
+    for (const SlotTerm& t : terms) {
+      if (!merged.empty() && merged.back().slot == t.slot) {
+        merged.back().coeff += t.coeff;
+      } else {
+        merged.push_back(t);
+      }
+    }
+    std::erase_if(merged, [](const SlotTerm& t) { return t.coeff == 0; });
+    terms = std::move(merged);
+  }
+};
+
+// Straight-line evaluators of a SlotForm, one per term count, so a folded
+// index costs one call and no loop.
+struct Affine0 {
+  std::int64_t c;
+  std::int64_t operator()(Regs) const { return c; }
+};
+struct Affine1 {
+  std::int64_t c;
+  SlotTerm t0;
+  std::int64_t operator()(Regs r) const { return c + t0.coeff * r[t0.slot]; }
+};
+struct Affine2 {
+  std::int64_t c;
+  SlotTerm t0, t1;
+  std::int64_t operator()(Regs r) const {
+    return c + t0.coeff * r[t0.slot] + t1.coeff * r[t1.slot];
+  }
+};
+struct Affine3 {
+  std::int64_t c;
+  SlotTerm t0, t1, t2;
+  std::int64_t operator()(Regs r) const {
+    return c + t0.coeff * r[t0.slot] + t1.coeff * r[t1.slot] +
+           t2.coeff * r[t2.slot];
+  }
+};
+/// Fixed-array fallback for longer forms.
+constexpr std::size_t kMaxFixedTerms = 8;
+struct AffineN {
+  std::int64_t c;
+  std::size_t n;
+  std::array<SlotTerm, kMaxFixedTerms> t;
+  std::int64_t operator()(Regs r) const {
+    std::int64_t v = c;
+    for (std::size_t i = 0; i < n; ++i) v += t[i].coeff * r[t[i].slot];
+    return v;
+  }
+};
+/// A form of at most three terms as an Affine3, padded with zero terms on
+/// slot 0 (every register file has one): the fixed-size form that guard
+/// conjunctions and fused load pairs store inline.
+std::optional<Affine3> padded3(const SlotForm& form) {
+  const auto& t = form.terms;
+  if (t.size() > 3) return std::nullopt;
+  auto term = [&t](std::size_t i) { return i < t.size() ? t[i] : SlotTerm{}; };
+  return Affine3{form.constant, term(0), term(1), term(2)};
+}
+
+/// A guard folded to the conjunction `h_i(r) >= 0` of its affine
+/// constraints (the normal form of analysis::collect_constraints_checked).
+constexpr std::size_t kMaxConjuncts = 4;
+struct Conjunction {
+  std::size_t n = 0;
+  std::array<Affine3, kMaxConjuncts> h{};
+  bool operator()(Regs r) const {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (h[i](r) < 0) return false;
+    }
+    return true;
+  }
+};
+
+/// A tensor load whose offset has at most three terms.
+struct Load3 {
+  const double* base;
+  Affine3 offset;
+  double operator()(Regs r) const { return base[offset(r)]; }
+};
+
+/// Any other integer index: a closure.
+struct AffineFn {
+  FIndex f;
+  std::int64_t operator()(Regs r) const { return f(r); }
+};
+
+FIndex index_fn(const SlotForm& form);
+
+/// Calls `visit` with the straight-line evaluator for `form`.
+template <class Visit>
+auto with_form(const SlotForm& form, const Visit& visit) {
+  const auto& t = form.terms;
+  const std::int64_t c = form.constant;
+  switch (t.size()) {
+    case 0: return visit(Affine0{c});
+    case 1: return visit(Affine1{c, t[0]});
+    case 2: return visit(Affine2{c, t[0], t[1]});
+    case 3: return visit(Affine3{c, t[0], t[1], t[2]});
+    default: break;
+  }
+  if (t.size() <= kMaxFixedTerms) {
+    AffineN fixed{c, t.size(), {}};
+    std::copy(t.begin(), t.end(), fixed.t.begin());
+    return visit(fixed);
+  }
+  // Longer than the fixed array: the head's evaluator plus the tail's.
+  SlotForm head{c, {t.begin(), t.begin() + kMaxFixedTerms}};
+  SlotForm tail{0, {t.begin() + kMaxFixedTerms, t.end()}};
+  return visit(AffineFn{[head_fn = index_fn(head),
+                         tail_fn = index_fn(tail)](Regs r) {
+    return head_fn(r) + tail_fn(r);
+  }});
+}
+
+/// A folded form as a stand-alone index closure.
+FIndex index_fn(const SlotForm& form) {
+  return with_form(form, [](auto f) -> FIndex { return f; });
+}
+
+/// A tensor access's flattened offset: folded when every index is affine,
+/// otherwise a closure (affine dimensions still folded inside it).
+struct Offset {
+  std::optional<SlotForm> folded;
+  FIndex fn;
+};
+
+template <class Visit>
+auto with_offset(const Offset& offset, const Visit& visit) {
+  if (offset.folded) return with_form(*offset.folded, visit);
+  return visit(AffineFn{offset.fn});
+}
+
+/// Calls `visit` with the float64 functor of `op`, shared by value
+/// expressions and read-modify-write stores.
+template <class Visit>
+auto with_value_op(BinaryOp op, const Visit& visit) {
+  switch (op) {
+    case BinaryOp::kAdd:
+      return visit([](double a, double b) { return a + b; });
+    case BinaryOp::kSub:
+      return visit([](double a, double b) { return a - b; });
+    case BinaryOp::kMul:
+      return visit([](double a, double b) { return a * b; });
+    case BinaryOp::kDiv:
+      return visit([](double a, double b) { return a / b; });
+    case BinaryOp::kFloorDiv:
+      return visit([](double a, double b) { return std::floor(a / b); });
+    case BinaryOp::kMod:
+      return visit(
+          [](double a, double b) { return a - std::floor(a / b) * b; });
+    case BinaryOp::kMin:
+      return visit([](double a, double b) { return std::min(a, b); });
+    case BinaryOp::kMax:
+      return visit([](double a, double b) { return std::max(a, b); });
+  }
+  TVMBO_CHECK(false) << "unknown binary op";
+  return visit([](double a, double) { return a; });
+}
+
+template <class Visit>
+auto with_compare(CmpOp op, const Visit& visit) {
+  using I = std::int64_t;
+  switch (op) {
+    case CmpOp::kLt: return visit([](I a, I b) { return a < b; });
+    case CmpOp::kLe: return visit([](I a, I b) { return a <= b; });
+    case CmpOp::kGt: return visit([](I a, I b) { return a > b; });
+    case CmpOp::kGe: return visit([](I a, I b) { return a >= b; });
+    case CmpOp::kEq: return visit([](I a, I b) { return a == b; });
+    case CmpOp::kNe: return visit([](I a, I b) { return a != b; });
+  }
+  TVMBO_CHECK(false) << "unknown compare op";
+  return visit([](I, I) { return false; });
+}
+
+template <class Condition>
+FStmt if_stmt(Condition condition, FStmt then_case, FStmt else_case) {
+  if (else_case) {
+    return [condition, then_case = std::move(then_case),
+            else_case = std::move(else_case)](Regs r) {
+      if (condition(r)) {
+        then_case(r);
+      } else {
+        else_case(r);
+      }
+    };
+  }
+  return [condition, then_case = std::move(then_case)](Regs r) {
+    if (condition(r)) then_case(r);
+  };
+}
 
 /// Compile-time context: register allocation and buffer resolution.
 struct Compiler {
@@ -75,23 +319,77 @@ struct Compiler {
     return empty;
   }
 
-  FIndex compile_flat_index(const TensorAccessNode* node);
+  std::optional<SlotForm> fold(const ExprNode* expr) const;
+  SlotForm to_slots(const analysis::AffineForm& affine) const;
+  std::optional<Conjunction> fold_guard(const Expr& condition) const;
+  Offset compile_offset(const TensorNode* tensor,
+                        const std::vector<Expr>& indices);
   FIndex compile_index(const ExprNode* expr);
+  std::optional<Load3> fold_load(const ExprNode* expr);
   FExpr compile_value(const ExprNode* expr);
+  FStmt compile_store(const StoreNode* node);
   FStmt compile_stmt(const StmtNode* stmt);
 };
 
+/// Folds `expr` into register-slot form when analysis::analyze_affine
+/// accepts it (add/sub/mul-by-constant over loop vars and int immediates).
+std::optional<SlotForm> Compiler::fold(const ExprNode* expr) const {
+  const analysis::AffineForm affine = analysis::analyze_affine(expr);
+  if (!affine.affine) return std::nullopt;
+  return to_slots(affine);
+}
+
+SlotForm Compiler::to_slots(const analysis::AffineForm& affine) const {
+  SlotForm form;
+  form.constant = affine.constant;
+  for (const auto& [var, coeff] : affine.terms) {
+    form.terms.push_back({slot_of(var), coeff});
+  }
+  form.normalize();
+  return form;
+}
+
+/// Folds a guard whose every conjunct is an affine compare (joined by the
+/// `select(a, b, 0)` encoding of logical_and) into one Conjunction.
+std::optional<Conjunction> Compiler::fold_guard(const Expr& condition) const {
+  std::vector<analysis::AffineForm> constraints;
+  if (!analysis::collect_constraints_checked(condition, constraints) ||
+      constraints.size() > kMaxConjuncts) {
+    return std::nullopt;
+  }
+  Conjunction guard;
+  for (const analysis::AffineForm& constraint : constraints) {
+    const std::optional<Affine3> h = padded3(to_slots(constraint));
+    if (!h) return std::nullopt;
+    guard.h[guard.n++] = *h;
+  }
+  return guard;
+}
+
+Offset Compiler::compile_offset(const TensorNode* tensor,
+                                const std::vector<Expr>& indices) {
+  const auto& s = strides_of(tensor);
+  SlotForm folded;
+  std::vector<std::pair<FIndex, std::int64_t>> rest;
+  for (std::size_t d = 0; d < indices.size(); ++d) {
+    if (auto form = fold(indices[d].get())) {
+      folded.add(*form, s[d]);
+    } else {
+      rest.emplace_back(compile_index(indices[d].get()), s[d]);
+    }
+  }
+  folded.normalize();
+  if (rest.empty()) return {std::move(folded), {}};
+  return {std::nullopt, [part = index_fn(folded), rest](Regs r) {
+            std::int64_t flat = part(r);
+            for (const auto& [dim, stride] : rest) flat += dim(r) * stride;
+            return flat;
+          }};
+}
+
 FIndex Compiler::compile_index(const ExprNode* expr) {
+  if (auto form = fold(expr)) return index_fn(*form);
   switch (expr->kind()) {
-    case ExprKind::kIntImm: {
-      const std::int64_t value =
-          static_cast<const IntImmNode*>(expr)->value;
-      return [value](Regs) { return value; };
-    }
-    case ExprKind::kVar: {
-      const std::size_t slot = slot_of(static_cast<const VarNode*>(expr));
-      return [slot](Regs regs) { return regs[slot]; };
-    }
     case ExprKind::kBinary: {
       const auto* node = static_cast<const BinaryNode*>(expr);
       FIndex a = compile_index(node->a.get());
@@ -128,23 +426,26 @@ FIndex Compiler::compile_index(const ExprNode* expr) {
     }
     case ExprKind::kCompare: {
       const auto* node = static_cast<const CompareNode*>(expr);
+      auto lhs = fold(node->a.get());
+      auto rhs = fold(node->b.get());
+      if (lhs && rhs) {
+        // a OP b  ==>  (a - b) OP 0, one folded form.
+        SlotForm diff = *lhs;
+        diff.add(*rhs, -1);
+        diff.normalize();
+        return with_compare(node->op, [&](auto cmp) {
+          return with_form(diff, [cmp](auto f) -> FIndex {
+            return [f, cmp](Regs r) -> std::int64_t { return cmp(f(r), 0); };
+          });
+        });
+      }
       FIndex a = compile_index(node->a.get());
       FIndex b = compile_index(node->b.get());
-      switch (node->op) {
-        case CmpOp::kLt:
-          return [a, b](Regs r) -> std::int64_t { return a(r) < b(r); };
-        case CmpOp::kLe:
-          return [a, b](Regs r) -> std::int64_t { return a(r) <= b(r); };
-        case CmpOp::kGt:
-          return [a, b](Regs r) -> std::int64_t { return a(r) > b(r); };
-        case CmpOp::kGe:
-          return [a, b](Regs r) -> std::int64_t { return a(r) >= b(r); };
-        case CmpOp::kEq:
-          return [a, b](Regs r) -> std::int64_t { return a(r) == b(r); };
-        case CmpOp::kNe:
-          return [a, b](Regs r) -> std::int64_t { return a(r) != b(r); };
-      }
-      break;
+      return with_compare(node->op, [&](auto cmp) -> FIndex {
+        return [a, b, cmp](Regs r) -> std::int64_t {
+          return cmp(a(r), b(r));
+        };
+      });
     }
     case ExprKind::kSelect: {
       const auto* node = static_cast<const SelectNode*>(expr);
@@ -160,21 +461,14 @@ FIndex Compiler::compile_index(const ExprNode* expr) {
   return {};
 }
 
-FIndex Compiler::compile_flat_index(const TensorAccessNode* node) {
-  const auto& s = strides_of(node->tensor.get());
-  std::vector<FIndex> dims;
-  dims.reserve(node->indices.size());
-  for (const Expr& index : node->indices) {
-    dims.push_back(compile_index(index.get()));
-  }
-  std::vector<std::int64_t> stride_copy = s;
-  return [dims, stride_copy](Regs r) {
-    std::int64_t flat = 0;
-    for (std::size_t d = 0; d < dims.size(); ++d) {
-      flat += dims[d](r) * stride_copy[d];
-    }
-    return flat;
-  };
+std::optional<Load3> Compiler::fold_load(const ExprNode* expr) {
+  if (expr->kind() != ExprKind::kTensorAccess) return std::nullopt;
+  const auto* node = static_cast<const TensorAccessNode*>(expr);
+  const Offset offset = compile_offset(node->tensor.get(), node->indices);
+  if (!offset.folded) return std::nullopt;
+  const std::optional<Affine3> padded = padded3(*offset.folded);
+  if (!padded) return std::nullopt;
+  return Load3{base_of(node->tensor.get()), *padded};
 }
 
 FExpr Compiler::compile_value(const ExprNode* expr) {
@@ -194,30 +488,19 @@ FExpr Compiler::compile_value(const ExprNode* expr) {
     }
     case ExprKind::kBinary: {
       const auto* node = static_cast<const BinaryNode*>(expr);
+      // Two loads (the A[..] * B[..] of every MAC): one node.
+      const std::optional<Load3> x = fold_load(node->a.get());
+      const std::optional<Load3> y = fold_load(node->b.get());
+      if (x && y) {
+        return with_value_op(node->op, [&](auto op) -> FExpr {
+          return [x = *x, y = *y, op](Regs r) { return op(x(r), y(r)); };
+        });
+      }
       FExpr a = compile_value(node->a.get());
       FExpr b = compile_value(node->b.get());
-      switch (node->op) {
-        case BinaryOp::kAdd:
-          return [a, b](Regs r) { return a(r) + b(r); };
-        case BinaryOp::kSub:
-          return [a, b](Regs r) { return a(r) - b(r); };
-        case BinaryOp::kMul:
-          return [a, b](Regs r) { return a(r) * b(r); };
-        case BinaryOp::kDiv:
-          return [a, b](Regs r) { return a(r) / b(r); };
-        case BinaryOp::kFloorDiv:
-          return [a, b](Regs r) { return std::floor(a(r) / b(r)); };
-        case BinaryOp::kMod:
-          return [a, b](Regs r) {
-            const double x = a(r), y = b(r);
-            return x - std::floor(x / y) * y;
-          };
-        case BinaryOp::kMin:
-          return [a, b](Regs r) { return std::min(a(r), b(r)); };
-        case BinaryOp::kMax:
-          return [a, b](Regs r) { return std::max(a(r), b(r)); };
-      }
-      break;
+      return with_value_op(node->op, [&](auto op) -> FExpr {
+        return [a, b, op](Regs r) { return op(a(r), b(r)); };
+      });
     }
     case ExprKind::kUnary: {
       const auto* node = static_cast<const UnaryNode*>(expr);
@@ -249,14 +532,47 @@ FExpr Compiler::compile_value(const ExprNode* expr) {
     case ExprKind::kTensorAccess: {
       const auto* node = static_cast<const TensorAccessNode*>(expr);
       double* base = base_of(node->tensor.get());
-      FIndex flat = compile_flat_index(node);
-      return [base, flat](Regs r) { return base[flat(r)]; };
+      return with_offset(compile_offset(node->tensor.get(), node->indices),
+                         [base](auto off) -> FExpr {
+                           return [base, off](Regs r) { return base[off(r)]; };
+                         });
     }
     case ExprKind::kReduce:
       break;
   }
   TVMBO_CHECK(false) << "expression is not value-compilable";
   return {};
+}
+
+FStmt Compiler::compile_store(const StoreNode* node) {
+  double* base = base_of(node->tensor.get());
+  const Offset dest = compile_offset(node->tensor.get(), node->indices);
+  // Read-modify-write `T[f] = T[f] op e`: one offset computation serves
+  // both the load and the store.
+  if (dest.folded && node->value->kind() == ExprKind::kBinary) {
+    const auto* binary = static_cast<const BinaryNode*>(node->value.get());
+    if (binary->a->kind() == ExprKind::kTensorAccess) {
+      const auto* load =
+          static_cast<const TensorAccessNode*>(binary->a.get());
+      if (load->tensor.get() == node->tensor.get() &&
+          compile_offset(load->tensor.get(), load->indices).folded ==
+              dest.folded) {
+        FExpr rhs = compile_value(binary->b.get());
+        return with_value_op(binary->op, [&](auto op) {
+          return with_form(*dest.folded, [base, rhs, op](auto off) -> FStmt {
+            return [base, rhs, op, off](Regs r) {
+              double* p = base + off(r);
+              *p = op(*p, rhs(r));
+            };
+          });
+        });
+      }
+    }
+  }
+  FExpr value = compile_value(node->value.get());
+  return with_offset(dest, [base, value](auto off) -> FStmt {
+    return [base, value, off](Regs r) { base[off(r)] = value(r); };
+  });
 }
 
 FStmt Compiler::compile_stmt(const StmtNode* stmt) {
@@ -282,11 +598,12 @@ FStmt Compiler::compile_stmt(const StmtNode* stmt) {
                 // Private register-file copy per chunk: outer loop indices
                 // stay visible, inner loop slots never race. (Nested
                 // dispatch from a worker runs inline via the pool.)
-                std::vector<std::int64_t> local(r, r + slots);
-                for (std::size_t i = begin; i < end; ++i) {
-                  local[slot] = static_cast<std::int64_t>(i);
-                  body(local.data());
-                }
+                with_registers(r, slots, [&](Regs local) {
+                  for (std::size_t i = begin; i < end; ++i) {
+                    local[slot] = static_cast<std::int64_t>(i);
+                    body(local);
+                  }
+                });
               });
         };
       }
@@ -297,15 +614,8 @@ FStmt Compiler::compile_stmt(const StmtNode* stmt) {
         }
       };
     }
-    case StmtKind::kStore: {
-      const auto* node = static_cast<const StoreNode*>(stmt);
-      double* base = base_of(node->tensor.get());
-      // Reuse the access-compilation path for the destination.
-      TensorAccessNode destination(node->tensor, node->indices);
-      FIndex flat = compile_flat_index(&destination);
-      FExpr value = compile_value(node->value.get());
-      return [base, flat, value](Regs r) { base[flat(r)] = value(r); };
-    }
+    case StmtKind::kStore:
+      return compile_store(static_cast<const StoreNode*>(stmt));
     case StmtKind::kSeq: {
       const auto* node = static_cast<const SeqNode*>(stmt);
       std::vector<FStmt> children;
@@ -319,21 +629,14 @@ FStmt Compiler::compile_stmt(const StmtNode* stmt) {
     }
     case StmtKind::kIfThenElse: {
       const auto* node = static_cast<const IfThenElseNode*>(stmt);
-      FIndex condition = compile_index(node->condition.get());
       FStmt then_case = compile_stmt(node->then_case.get());
-      if (node->else_case) {
-        FStmt else_case = compile_stmt(node->else_case.get());
-        return [condition, then_case, else_case](Regs r) {
-          if (condition(r) != 0) {
-            then_case(r);
-          } else {
-            else_case(r);
-          }
-        };
+      FStmt else_case;
+      if (node->else_case) else_case = compile_stmt(node->else_case.get());
+      if (auto guard = fold_guard(node->condition)) {
+        return if_stmt(*guard, std::move(then_case), std::move(else_case));
       }
-      return [condition, then_case](Regs r) {
-        if (condition(r) != 0) then_case(r);
-      };
+      return if_stmt(compile_index(node->condition.get()),
+                     std::move(then_case), std::move(else_case));
     }
     case StmtKind::kRealize: {
       const auto* node = static_cast<const RealizeNode*>(stmt);
@@ -375,22 +678,14 @@ CompiledProgram CompiledProgram::compile(
   program.num_registers_ = loop_depth(stmt);
   compiler.scratch_slots = std::max<std::size_t>(1, program.num_registers_);
   compiler.parallel_threads = options.parallel_threads;
-  FStmt body = compiler.compile_stmt(stmt.get());
+  program.entry_ = compiler.compile_stmt(stmt.get());
   program.owned_ = std::move(compiler.owned);
-  const std::size_t registers = std::max<std::size_t>(
-      1, program.num_registers_);
-  program.entry_ = [body, registers](std::int64_t* scratch) {
-    (void)registers;
-    body(scratch);
-  };
   return program;
 }
 
 void CompiledProgram::run() const {
   TVMBO_CHECK(static_cast<bool>(entry_)) << "run of empty program";
-  std::vector<std::int64_t> scratch(std::max<std::size_t>(
-      1, num_registers_));
-  entry_(scratch.data());
+  with_registers(nullptr, std::max<std::size_t>(1, num_registers_), entry_);
 }
 
 }  // namespace tvmbo::te

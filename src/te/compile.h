@@ -8,8 +8,14 @@
 //   * every tensor access is reduced to base pointer + precomputed
 //     strides (buffers must be bound at compile time; Realize regions
 //     allocate owned buffers),
-//   * every expression/statement becomes one std::function node — no kind
-//     dispatch per visit.
+//   * every integer subexpression that analysis::analyze_affine accepts —
+//     each access's whole flattened offset, with the strides multiplied
+//     in, and each guard compare — folds into one `c + Σ k·r[slot]` node;
+//     non-affine integer ops (floordiv, mod, min, max, select, var×var)
+//     stay closures whose operands re-enter the folded path,
+//   * every other expression/statement becomes one std::function node —
+//     no kind dispatch per visit. Float operations and their order match
+//     the interpreter, so results are bit-identical to it.
 //
 // The compiled program is reusable: run() executes against the buffers
 // captured at compile time. Only float64 buffers are supported.

@@ -134,30 +134,51 @@ TEST(MeasureRunner, TimeoutIsolatedInParallelBatch) {
   }
 }
 
+/// Reports `tiles[0]` as the runtime, so the slot a result lands in can
+/// be checked exactly, and sleeps longest for the smallest tile, so on a
+/// multi-thread pool trials complete in reverse submission order.
+class ReverseSleepDevice final : public Device {
+ public:
+  explicit ReverseSleepDevice(std::int64_t n) : n_(n) {}
+
+  std::string name() const override { return "reverse-sleep"; }
+
+  MeasureResult measure(const MeasureInput& input,
+                        const MeasureOption&) override {
+    const std::int64_t slot = input.tiles.at(0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2 * (n_ - slot)));
+    MeasureResult result;
+    result.runtime_s = static_cast<double>(slot);
+    return result;
+  }
+
+  std::size_t max_concurrent_measurements() const override { return 0; }
+
+ private:
+  std::int64_t n_;
+};
+
 TEST(MeasureRunner, ResultsInSubmissionOrderDespiteCompletionOrder) {
   // Later-submitted trials finish first (shorter sleeps); each result
   // must still land in its submission slot.
-  CpuDevice device;
   const int n = 6;
+  ReverseSleepDevice device(n);
   std::vector<MeasureInput> inputs;
   for (int i = 0; i < n; ++i) {
     MeasureInput input;
     input.workload = lu_workload(8);
-    input.run = [i] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2 * (n - i)));
-    };
+    input.tiles = {i};
     inputs.push_back(std::move(input));
   }
-  MeasureOption option;
-  option.repeat = 1;
   MeasureRunnerOptions options;
   options.parallel = true;
   ThreadPool pool(4);  // real concurrency: completion order != submission
   MeasureRunner runner(&device, options, &pool);
-  const auto results = runner.measure_batch(inputs, option);
-  for (int i = 0; i + 1 < n; ++i) {
-    EXPECT_GT(results[i].runtime_s, results[i + 1].runtime_s)
-        << "slot " << i;
+  const auto results = runner.measure_batch(inputs, MeasureOption{});
+  ASSERT_EQ(results.size(), static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(results[i].valid) << "slot " << i;
+    EXPECT_EQ(results[i].runtime_s, static_cast<double>(i)) << "slot " << i;
   }
 }
 
