@@ -178,8 +178,8 @@ inline int run_figure_experiment(const FigureSpec& spec) {
   options.xgb_paper_eval_cap = 56;  // reproduce the paper's XGB artifact
   options.seed = spec.seed;
   // Figures require bit-identical reproduction: keep the measurement
-  // engine on its serial fallback (the simulated device is serialized by
-  // the runner even in parallel mode, but be explicit about the contract).
+  // engine at one inline slot (the simulated device gets one slot even in
+  // parallel mode, but be explicit about the contract).
   options.measure.parallel = false;
   if (trace != nullptr) options.measure.trace = trace.get();
 

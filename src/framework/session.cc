@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
+#include <utility>
 
 #include "analysis/proof_cache.h"
 #include "common/logging.h"
@@ -12,6 +12,25 @@
 #include "tuners/measure_loop.h"
 
 namespace tvmbo::framework {
+
+namespace {
+
+/// The metric a strategy minimizes under `objective`, and whether the
+/// measurement counts as valid for it: a non-runtime objective needs a
+/// device with a power model (energy_j > 0).
+std::pair<double, bool> objective_metric(Objective objective,
+                                         double runtime_s, double energy_j,
+                                         bool valid) {
+  switch (objective) {
+    case Objective::kRuntime: return {runtime_s, valid};
+    case Objective::kEnergy: return {energy_j, valid && energy_j > 0.0};
+    case Objective::kEnergyDelay:
+      return {energy_j * runtime_s, valid && energy_j > 0.0};
+  }
+  return {runtime_s, valid};
+}
+
+}  // namespace
 
 const char* strategy_name(StrategyKind kind) {
   switch (kind) {
@@ -104,6 +123,10 @@ AutotuningSession::AutotuningSession(const autotvm::Task* task,
   TVMBO_CHECK_GT(options_.max_evaluations, 0u)
       << "max_evaluations must be positive";
   TVMBO_CHECK_GT(options_.batch_size, 0u) << "batch_size must be positive";
+  TVMBO_CHECK(!options_.async || options_.ytopt_batch_size <= 1)
+      << "async streaming asks one configuration per free slot; it cannot "
+         "honour ytopt_batch_size "
+      << options_.ytopt_batch_size;
 }
 
 std::unique_ptr<tuners::Tuner> AutotuningSession::make_strategy(
@@ -163,17 +186,8 @@ std::vector<tuners::Trial> AutotuningSession::warm_start_trials(
       ++local.skipped_space;  // saved under a different space
       continue;
     }
-    double metric = record.runtime_s;
-    bool valid = record.valid;
-    if (options_.objective == Objective::kEnergy) {
-      metric = record.energy_j;
-    } else if (options_.objective == Objective::kEnergyDelay) {
-      metric = record.energy_j * record.runtime_s;
-    }
-    if (options_.objective != Objective::kRuntime &&
-        record.energy_j <= 0.0) {
-      valid = false;
-    }
+    const auto [metric, valid] = objective_metric(
+        options_.objective, record.runtime_s, record.energy_j, record.valid);
     prior.push_back({config, metric, valid});
     ++local.seeded;
   }
@@ -212,202 +226,97 @@ double AutotuningSession::modeled_overhead_s(
   return 0.0;
 }
 
-std::uint64_t AutotuningSession::strategy_seed(int salt) const {
-  return hash_combine(options_.seed, static_cast<std::uint64_t>(salt) + 17);
-}
-
 SessionResult AutotuningSession::run(StrategyKind kind) {
-  WarmStartStats warm_stats;
-  std::size_t transfer_seeds = 0;
-  std::unique_ptr<tuners::Tuner> strategy =
-      make_strategy(kind, &warm_stats, &transfer_seeds);
-  StrategyTraits traits;
-  traits.repeat = kind == StrategyKind::kYtopt ? options_.ytopt_repeat
-                                               : options_.autotvm_repeat;
-  traits.batch_size = kind == StrategyKind::kYtopt
-                          ? std::max<std::size_t>(1, options_.ytopt_batch_size)
-                          : options_.batch_size;
-  // ytopt's paper configuration (batch 1) compiles strictly sequentially;
-  // qLCB batches (> 1) get the parallel builder farm like AutoTVM.
-  traits.parallel_build =
-      kind != StrategyKind::kYtopt || traits.batch_size > 1;
-  traits.overhead = [this, kind](std::size_t observed, std::size_t batch) {
-    return modeled_overhead_s(kind, observed, batch);
-  };
-  SessionResult result = run_strategy(*strategy, traits);
-  result.warm_start = warm_stats;
-  result.transfer_seeds = transfer_seeds;
-  return result;
-}
-
-SessionResult AutotuningSession::run_strategy(tuners::Tuner& strategy,
-                                              const StrategyTraits& traits) {
-  TVMBO_CHECK_GT(traits.batch_size, 0u) << "batch_size must be positive";
-  TVMBO_CHECK_GT(traits.repeat, 0) << "repeat must be positive";
-
   SessionResult result;
-  result.strategy = strategy.name();
+  std::unique_ptr<tuners::Tuner> strategy =
+      make_strategy(kind, &result.warm_start, &result.transfer_seeds);
+  result.strategy = strategy->name();
 
-  runtime::MeasureOption measure;
-  measure.repeat = traits.repeat;
-  measure.timeout_s = options_.measure_timeout_s;
-  const std::size_t batch_size = traits.batch_size;
-  const bool parallel_build = traits.parallel_build;
+  // Barrier rounds of the AutoTVM batch, or of ytopt's qLCB batch (1 is
+  // the paper's strictly sequential AMBS loop); --async streams instead.
+  const bool ytopt = kind == StrategyKind::kYtopt;
+  tuners::MeasureLoopOptions loop;
+  loop.max_evaluations = options_.max_evaluations;
+  loop.batch_size = ytopt ? std::max<std::size_t>(1, options_.ytopt_batch_size)
+                          : options_.batch_size;
+  loop.measure.repeat = ytopt ? options_.ytopt_repeat : options_.autotvm_repeat;
+  loop.measure.timeout_s = options_.measure_timeout_s;
+  TVMBO_CHECK_GT(loop.measure.repeat, 0) << "repeat must be positive";
+  // ytopt's paper configuration (batch 1) compiles strictly sequentially;
+  // AutoTVM and qLCB batches (> 1) get the parallel builder farm.
+  const bool parallel_build = !ytopt || loop.batch_size > 1;
+  const double repeat = static_cast<double>(loop.measure.repeat);
 
   // All measurement goes through the runner: fault isolation, retries,
-  // trace events, and (when enabled) parallel batch execution. The
-  // default options reproduce the historical sequential loop exactly.
+  // trace events, and (when enabled) parallel execution. The default
+  // options reproduce the historical sequential loop exactly.
   runtime::MeasureRunnerOptions runner_options = options_.measure;
   runner_options.strategy = result.strategy;
   runtime::MeasureRunner runner(device_, runner_options);
 
+  // The process clock. Streamed trials overlap, so they are stamped with
+  // real wall-clock; a barrier round advances the paper's modeled clock.
+  const Stopwatch wall;
   double clock = 0.0;
   std::size_t evaluations = 0;
-  if (options_.async) {
-    // Streaming path: completion-driven submit/wait_any with every slot
-    // refilled the moment it frees — no wave barrier. Trials overlap, so
-    // the modeled serial process clock does not apply; elapsed_s records
-    // real wall-clock completion times instead.
-    const Stopwatch wall;
-    tuners::AskTellSession ask_tell(strategy, options_.max_evaluations);
-    std::unordered_map<runtime::MeasureRunner::Ticket, cs::Configuration>
-        in_flight;
-    const std::size_t slots = runner.async_slots();
-    bool out_of_time = false;
-    while (!ask_tell.done()) {
-      if (options_.max_time_s > 0.0 &&
-          wall.elapsed_seconds() >= options_.max_time_s) {
-        out_of_time = true;  // budget spent: drain, don't submit
+  tuners::LoopHooks hooks;
+  hooks.metric = [this](const runtime::MeasureResult& measured) {
+    return objective_metric(options_.objective, measured.runtime_s,
+                            measured.energy_j, measured.valid);
+  };
+  hooks.on_round = [&](std::span<const tuners::Trial> trials,
+                       std::span<const runtime::MeasureResult> measured) {
+    double round_run = 0.0;
+    if (options_.async) {
+      clock = wall.elapsed_seconds();
+    } else {
+      // Builder-farm batches are charged max(compile), sequential ytopt
+      // the sum; then `repeat` timed runs per member and the strategy's
+      // modeled per-round overhead.
+      double compile_sum = 0.0;
+      double compile_max = 0.0;
+      for (const runtime::MeasureResult& m : measured) {
+        compile_sum += m.compile_s;
+        compile_max = std::max(compile_max, m.compile_s);
+        round_run += m.runtime_s * repeat;
       }
-      while (!out_of_time && in_flight.size() < slots) {
-        std::optional<cs::Configuration> next = ask_tell.ask();
-        if (!next.has_value()) break;
-        const runtime::MeasureRunner::Ticket ticket =
-            runner.submit(task_->measure_input(*next), measure);
-        in_flight.emplace(ticket, std::move(*next));
-      }
-      if (in_flight.empty()) break;
-
-      runtime::MeasureRunner::Completion completion = runner.wait_any();
-      auto it = in_flight.find(completion.ticket);
-      TVMBO_CHECK(it != in_flight.end())
-          << "completion for unknown ticket " << completion.ticket;
-      const runtime::MeasureResult& measured = completion.result;
-      double metric = measured.runtime_s;
-      if (options_.objective == Objective::kEnergy) {
-        metric = measured.energy_j;
-      } else if (options_.objective == Objective::kEnergyDelay) {
-        metric = measured.energy_j * measured.runtime_s;
-      }
-      bool valid = measured.valid;
-      if (options_.objective != Objective::kRuntime &&
-          measured.energy_j <= 0.0) {
-        valid = false;  // device has no power model
-      }
-      ask_tell.tell(it->second, metric, valid);
-
+      clock += parallel_build ? compile_max : compile_sum;
+      clock += round_run;
+      clock += modeled_overhead_s(kind, strategy->history().size(),
+                                  trials.size());
+    }
+    // A barrier round's trials are spread across its run window in
+    // measurement order for a faithful per-evaluation timeline.
+    double within = clock - round_run;
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+      if (!options_.async) within += measured[i].runtime_s * repeat;
       runtime::TrialRecord record;
-      record.eval_index = static_cast<int>(evaluations);
+      record.eval_index = static_cast<int>(evaluations++);
       record.strategy = result.strategy;
       record.workload_id = task_->workload.id();
-      record.tiles = task_->config.space().values_int(it->second);
-      record.runtime_s = measured.runtime_s;
-      record.energy_j = measured.energy_j;
-      record.compile_s = measured.compile_s;
-      record.elapsed_s = wall.elapsed_seconds();
-      record.valid = valid;
+      record.tiles = task_->config.space().values_int(trials[i].config);
+      record.runtime_s = measured[i].runtime_s;
+      record.energy_j = measured[i].energy_j;
+      record.compile_s = measured[i].compile_s;
+      record.elapsed_s = within;
+      record.valid = trials[i].valid;
       record.backend = options_.record_backend;
       record.nthreads = options_.record_nthreads;
       result.db.add(record);
-      in_flight.erase(it);
-      evaluations += 1;
     }
-    clock = wall.elapsed_seconds();
-  } else {
-    while (evaluations < options_.max_evaluations && strategy.has_next()) {
-      if (options_.max_time_s > 0.0 && clock >= options_.max_time_s) break;
-      const std::size_t want = std::min(
-          batch_size, options_.max_evaluations - evaluations);
-      const std::vector<cs::Configuration> batch = strategy.next_batch(want);
-      if (batch.empty()) break;
+    return options_.max_time_s <= 0.0 || clock < options_.max_time_s;
+  };
+  tuners::drive_measure_loop(
+      *strategy, runner,
+      [this](const cs::Configuration& config) {
+        return task_->measure_input(config);
+      },
+      loop,
+      options_.async ? tuners::RoundPolicy::kStreaming
+                     : tuners::RoundPolicy::kBarrier,
+      hooks);
 
-      std::vector<tuners::Trial> trials;
-      std::vector<double> compiles;
-      trials.reserve(batch.size());
-      compiles.reserve(batch.size());
-      double batch_compile_sum = 0.0;
-      double batch_compile_max = 0.0;
-      double batch_run = 0.0;
-      std::vector<double> energies;
-      std::vector<double> runtimes;
-      energies.reserve(batch.size());
-      runtimes.reserve(batch.size());
-      std::vector<runtime::MeasureInput> inputs;
-      inputs.reserve(batch.size());
-      for (const cs::Configuration& config : batch) {
-        inputs.push_back(task_->measure_input(config));
-      }
-      const std::vector<runtime::MeasureResult> measured_batch =
-          runner.measure_batch(inputs, measure);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const cs::Configuration& config = batch[i];
-        const runtime::MeasureResult& measured = measured_batch[i];
-        batch_compile_sum += measured.compile_s;
-        batch_compile_max = std::max(batch_compile_max, measured.compile_s);
-        batch_run +=
-            measured.runtime_s * static_cast<double>(measure.repeat);
-        compiles.push_back(measured.compile_s);
-        energies.push_back(measured.energy_j);
-        runtimes.push_back(measured.runtime_s);
-        // The strategy minimizes the configured objective; runtime/energy
-        // are both recorded regardless.
-        double metric = measured.runtime_s;
-        if (options_.objective == Objective::kEnergy) {
-          metric = measured.energy_j;
-        } else if (options_.objective == Objective::kEnergyDelay) {
-          metric = measured.energy_j * measured.runtime_s;
-        }
-        bool valid = measured.valid;
-        if (options_.objective != Objective::kRuntime &&
-            measured.energy_j <= 0.0) {
-          valid = false;  // device has no power model
-        }
-        trials.push_back({config, metric, valid});
-      }
-      // Process-time accounting: parallel builder for AutoTVM batches,
-      // strictly sequential compile for ytopt.
-      clock += parallel_build ? batch_compile_max : batch_compile_sum;
-      clock += batch_run;
-      if (traits.overhead) {
-        clock += traits.overhead(strategy.history().size(), batch.size());
-      }
-
-      // Record each trial at the batch completion time, spreading runs
-      // across the batch window in measurement order for a faithful
-      // per-evaluation timeline.
-      double within = clock - batch_run;
-      for (std::size_t i = 0; i < trials.size(); ++i) {
-        within += runtimes[i] * static_cast<double>(measure.repeat);
-        runtime::TrialRecord record;
-        record.eval_index = static_cast<int>(evaluations + i);
-        record.strategy = result.strategy;
-        record.workload_id = task_->workload.id();
-        record.tiles = task_->config.space().values_int(trials[i].config);
-        record.runtime_s = runtimes[i];
-        record.energy_j = energies[i];
-        record.compile_s = compiles[i];
-        record.elapsed_s = within;
-        record.valid = trials[i].valid;
-        record.backend = options_.record_backend;
-        record.nthreads = options_.record_nthreads;
-        result.db.add(record);
-      }
-      evaluations += trials.size();
-      strategy.update(trials);
-    }
-  }
-
-  result.total_time_s = clock;
+  result.total_time_s = options_.async ? wall.elapsed_seconds() : clock;
   result.evaluations = evaluations;
   result.analysis_rejects = runner.analysis_rejects();
   if (options_.measure.trace != nullptr) {
@@ -423,14 +332,9 @@ SessionResult AutotuningSession::run_strategy(tuners::Tuner& strategy,
   // Best record by the configured objective.
   double best_metric = std::numeric_limits<double>::infinity();
   for (const runtime::TrialRecord& record : result.db.records()) {
-    if (!record.valid) continue;
-    double metric = record.runtime_s;
-    if (options_.objective == Objective::kEnergy) {
-      metric = record.energy_j;
-    } else if (options_.objective == Objective::kEnergyDelay) {
-      metric = record.energy_j * record.runtime_s;
-    }
-    if (metric < best_metric) {
+    const auto [metric, valid] = objective_metric(
+        options_.objective, record.runtime_s, record.energy_j, record.valid);
+    if (valid && metric < best_metric) {
       best_metric = metric;
       result.best = record;
     }

@@ -19,7 +19,6 @@
 //     overhead, which grows with the number of observations.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -111,15 +110,17 @@ struct SessionOptions {
   /// to emit the JSON-lines per-trial event log, and `measure.retry` to
   /// re-run transiently failing trials.
   runtime::MeasureRunnerOptions measure;
-  /// Completion-driven streaming measurement: the session keeps the
-  /// runner's async_slots() trials in flight (submit/wait_any), asking
-  /// the strategy for one more configuration the moment a slot frees and
-  /// telling each result back in completion order — no batch/wave
-  /// barrier. Process time switches from the modeled serial clock to
-  /// real wall-clock (overlap makes the serial model meaningless). With
-  /// a serial runner (measure.parallel == false) the schedule is strict
-  /// ask/measure/tell alternation: the fixed-seed deterministic mode,
-  /// trajectory-identical to the batch path at batch size 1.
+  /// The session's round policy. Off: barrier rounds (batch_size for
+  /// AutoTVM, ytopt_batch_size for ytopt) on the modeled process clock.
+  /// On: streaming — the session keeps the runner's async_slots() trials
+  /// in flight, asks the strategy for one more configuration the moment
+  /// a slot frees and tells each result back in completion order, and
+  /// process time is real wall-clock (overlap makes the serial model
+  /// meaningless). With a serial runner (measure.parallel == false) the
+  /// schedule is strict ask/measure/tell alternation: the fixed-seed
+  /// deterministic mode, trajectory-identical to barrier rounds of 1.
+  /// Streaming asks one configuration at a time, so it requires
+  /// ytopt_batch_size <= 1 (CheckError otherwise).
   bool async = false;
   /// Per-run measurement timeout (MeasureOption::timeout_s; 0 disables).
   /// On CpuDevice this is cooperative — checked between runs — so a
@@ -130,7 +131,7 @@ struct SessionOptions {
   /// ytopt proposal batch size. 1 reproduces the paper's strictly
   /// sequential AMBS loop; > 1 proposes qLCB batches
   /// (BayesianOptimizer::next_batch) so a parallel measurement engine can
-  /// evaluate several configurations at once.
+  /// evaluate several configurations at once. Barrier rounds only.
   std::size_t ytopt_batch_size = 1;
   /// Transfer learning: prior measurements (e.g. a performance database
   /// saved by an earlier run) seed the ytopt Bayesian optimizer before the
@@ -184,17 +185,6 @@ struct SessionResult {
   std::size_t transfer_seeds = 0;
 };
 
-/// Per-strategy execution traits for run_strategy(): how many configs are
-/// measured per round, how often each is timed, whether the batch compiles
-/// on a parallel builder, and the modeled framework overhead charged per
-/// round (observed history size, batch size) -> seconds.
-struct StrategyTraits {
-  std::size_t batch_size = 8;
-  int repeat = 3;
-  bool parallel_build = true;
-  std::function<double(std::size_t, std::size_t)> overhead;  ///< may be null
-};
-
 class AutotuningSession {
  public:
   /// The task and device must outlive the session.
@@ -207,16 +197,6 @@ class AutotuningSession {
   /// Runs all five strategies (the paper's full comparison for one
   /// kernel/size). Each strategy gets an independent derived seed.
   std::vector<SessionResult> run_all();
-
-  /// Runs a caller-supplied strategy (e.g. the AutoScheduler-lite
-  /// evolutionary search) under the same measurement loop and process-time
-  /// accounting as the built-in five.
-  SessionResult run_strategy(tuners::Tuner& strategy,
-                             const StrategyTraits& traits);
-
-  /// Derives the per-strategy seed used by run(kind) (exposed so custom
-  /// comparisons can match the built-ins' reproducibility scheme).
-  std::uint64_t strategy_seed(int salt) const;
 
   const SessionOptions& options() const { return options_; }
 

@@ -1,7 +1,6 @@
 #include "runtime/measure_runner.h"
 
 #include <algorithm>
-#include <future>
 
 #include "common/logging.h"
 
@@ -25,12 +24,11 @@ MeasureRunner::MeasureRunner(Device* device, MeasureRunnerOptions options,
 }
 
 MeasureRunner::~MeasureRunner() {
-  // A streamed trial still running on the pool captures `this`; wait for
-  // every dispatched/queued job to finish before the members go away.
+  // A trial running on the pool captures `this`; wait for it before the
+  // members go away. Queued trials have not started and are dropped.
   std::unique_lock<std::mutex> lock(async_mutex_);
-  async_cv_.wait(lock, [&] {
-    return async_running_ == 0 && async_queue_.empty();
-  });
+  async_queue_.clear();
+  async_cv_.wait(lock, [&] { return async_running_ == 0; });
 }
 
 void MeasureRunner::set_strategy(std::string strategy) {
@@ -151,51 +149,16 @@ MeasureResult MeasureRunner::run_trial(const MeasureInput& input,
   return result;
 }
 
-std::size_t MeasureRunner::concurrency_limit(std::size_t batch) const {
-  std::size_t limit = batch;
-  const std::size_t device_limit = device_->max_concurrent_measurements();
-  if (device_limit > 0) limit = std::min(limit, device_limit);
-  if (options_.max_concurrency > 0) {
-    limit = std::min(limit, options_.max_concurrency);
-  }
-  limit = std::min(limit, pool_->num_threads());
-  return std::max<std::size_t>(1, limit);
-}
-
 std::vector<MeasureResult> MeasureRunner::measure_batch(
     std::span<const MeasureInput> inputs, const MeasureOption& option) {
+  TVMBO_CHECK_EQ(in_flight(), 0u)
+      << "measure_batch while streamed trials are in flight";
   std::vector<MeasureResult> results(inputs.size());
-  if (inputs.empty()) return results;
-  const std::size_t base = next_trial_.fetch_add(inputs.size());
-  if (options_.trace != nullptr) {
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      trace_proposed(inputs[i], base + i);
-    }
-  }
-  // Serial path: submission order, inline. Also taken when the device
-  // bounds concurrency to one, or when already on a pool worker (a nested
-  // dispatch would block a worker on its own queue).
-  const std::size_t limit = concurrency_limit(inputs.size());
-  if (!options_.parallel || limit <= 1 || inputs.size() == 1 ||
-      pool_->in_worker_thread()) {
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      results[i] = run_trial(inputs[i], option, base + i);
-    }
-    return results;
-  }
-  // Parallel path: waves of at most `limit` in-flight trials; each trial
-  // writes its own slot, so completion order never reorders results.
-  for (std::size_t start = 0; start < inputs.size(); start += limit) {
-    const std::size_t end = std::min(start + limit, inputs.size());
-    std::vector<std::future<void>> futures;
-    futures.reserve(end - start);
-    for (std::size_t i = start; i < end; ++i) {
-      futures.push_back(pool_->submit([this, &inputs, &option, &results,
-                                       base, i] {
-        results[i] = run_trial(inputs[i], option, base + i);
-      }));
-    }
-    for (auto& future : futures) future.get();
+  const Ticket first = next_trial_.load();
+  for (const MeasureInput& input : inputs) submit(input, option);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    Completion completion = wait_any();
+    results[completion.ticket - first] = std::move(completion.result);
   }
   return results;
 }
@@ -206,13 +169,10 @@ MeasureResult MeasureRunner::measure_one(const MeasureInput& input,
 }
 
 std::size_t MeasureRunner::async_slots() const {
-  if (!options_.parallel) return 1;  // deterministic serial streaming
+  if (!options_.parallel || pool_->in_worker_thread()) return 1;
   std::size_t limit = pool_->num_threads();
   const std::size_t device_limit = device_->max_concurrent_measurements();
   if (device_limit > 0) limit = std::min(limit, device_limit);
-  if (options_.max_concurrency > 0) {
-    limit = std::min(limit, options_.max_concurrency);
-  }
   return std::max<std::size_t>(1, limit);
 }
 
@@ -221,63 +181,75 @@ std::size_t MeasureRunner::in_flight() const {
   return async_outstanding_;
 }
 
-void MeasureRunner::dispatch_ready_locked() {
-  const std::size_t slots = async_slots();
+MeasureResult MeasureRunner::run_job(const AsyncJob& job) {
+  if (options_.trace != nullptr) {
+    Json dispatch = event("dispatch", job.ticket);
+    dispatch.set("workload", job.input.workload.id());
+    options_.trace->record(std::move(dispatch));
+  }
+  MeasureResult result = run_trial(job.input, job.option, job.ticket);
+  if (options_.trace != nullptr) {
+    Json complete = event("complete", job.ticket);
+    complete.set("valid", result.valid);
+    if (!result.error.empty()) complete.set("error", result.error);
+    options_.trace->record(std::move(complete));
+  }
+  return result;
+}
+
+void MeasureRunner::dispatch_ready_locked(std::size_t slots) {
+  if (slots <= 1) return;  // wait_any() runs the queue inline
   while (async_running_ < slots && !async_queue_.empty()) {
     AsyncJob job = std::move(async_queue_.front());
     async_queue_.pop_front();
     ++async_running_;
     // The pool task owns the job; it reports back under the lock and
-    // refills the slot it just freed — this is where the pipeline beats
-    // the batch path's wave barrier.
-    pool_->submit([this, job = std::move(job)]() mutable {
-      if (options_.trace != nullptr) {
-        Json dispatch = event("dispatch", job.ticket);
-        dispatch.set("workload", job.input.workload.id());
-        options_.trace->record(std::move(dispatch));
-      }
-      MeasureResult result = run_trial(job.input, job.option, job.ticket);
-      if (options_.trace != nullptr) {
-        Json complete = event("complete", job.ticket);
-        complete.set("valid", result.valid);
-        if (!result.error.empty()) complete.set("error", result.error);
-        options_.trace->record(std::move(complete));
-      }
-      {
-        std::lock_guard<std::mutex> lock(async_mutex_);
-        --async_running_;
-        async_completed_.push_back({job.ticket, std::move(result)});
-        dispatch_ready_locked();
-        // Notify under the lock: the destructor may tear the condvar
-        // down the moment its predicate holds.
-        async_cv_.notify_all();
-      }
+    // refills the slot it just freed, so no trial waits for a straggler.
+    pool_->submit([this, slots, job = std::move(job)]() mutable {
+      MeasureResult result = run_job(job);
+      std::lock_guard<std::mutex> lock(async_mutex_);
+      --async_running_;
+      async_completed_.push_back({job.ticket, std::move(result)});
+      dispatch_ready_locked(slots);
+      // Notify under the lock: the destructor may tear the condvar down
+      // the moment its predicate holds.
+      async_cv_.notify_all();
     });
   }
 }
 
 MeasureRunner::Ticket MeasureRunner::submit(MeasureInput input,
                                             const MeasureOption& option) {
-  TVMBO_CHECK(!pool_->in_worker_thread())
-      << "submit must be driven from outside the runner's thread pool";
   const Ticket ticket = next_trial_.fetch_add(1);
   if (options_.trace != nullptr) trace_proposed(input, ticket);
-  {
-    std::lock_guard<std::mutex> lock(async_mutex_);
-    async_queue_.push_back({ticket, std::move(input), option});
-    ++async_outstanding_;
-    dispatch_ready_locked();
-  }
+  const std::size_t slots = async_slots();
+  std::lock_guard<std::mutex> lock(async_mutex_);
+  async_queue_.push_back({ticket, std::move(input), option});
+  ++async_outstanding_;
+  dispatch_ready_locked(slots);
   return ticket;
 }
 
 MeasureRunner::Completion MeasureRunner::wait_any() {
-  TVMBO_CHECK(!pool_->in_worker_thread())
-      << "wait_any must be driven from outside the runner's thread pool";
   std::unique_lock<std::mutex> lock(async_mutex_);
   TVMBO_CHECK_GT(async_outstanding_, 0u)
-      << "wait_any with no streamed trial in flight";
-  async_cv_.wait(lock, [&] { return !async_completed_.empty(); });
+      << "wait_any with no trial in flight";
+  while (async_completed_.empty()) {
+    if (async_running_ > 0 || async_queue_.empty()) {
+      async_cv_.wait(lock);
+      continue;
+    }
+    // Nothing is running to deliver a completion (the one-slot mode):
+    // run the oldest queued trial here, on the caller's thread.
+    AsyncJob job = std::move(async_queue_.front());
+    async_queue_.pop_front();
+    ++async_running_;
+    lock.unlock();
+    MeasureResult result = run_job(job);
+    lock.lock();
+    --async_running_;
+    async_completed_.push_back({job.ticket, std::move(result)});
+  }
   Completion completion = std::move(async_completed_.front());
   async_completed_.pop_front();
   --async_outstanding_;

@@ -1,43 +1,33 @@
-// MeasureRunner: the batched measurement engine behind every search
+// MeasureRunner: the one measurement engine behind every search
 // strategy's Step 3–5 loop (compile -> execute -> report).
 //
-// Strategies propose batches (AutoTVM batches of 8, ytopt's qLCB
-// multi-point proposals); the runner executes a whole batch against one
-// Device with
+// The engine is a completion-driven queue: submit(input) -> ticket,
+// wait_any() -> (ticket, result). Up to async_slots() trials run at once
+// and each slot is refilled the moment it frees, so one straggling trial
+// never idles the others. measure_batch() is the same queue used as a
+// barrier: submit every input, collect every completion, return the
+// results in submission order. Every trial gets
 //
-//  * deterministic result ordering — results come back in submission
-//    order no matter which trial finishes first;
 //  * per-trial fault isolation — an exception (or timeout) in one trial
-//    yields an invalid MeasureResult for that slot instead of poisoning
+//    yields an invalid MeasureResult for that trial instead of poisoning
 //    the batch or unwinding the tuning loop;
 //  * a configurable retry policy for transiently-failing trials;
+//  * an optional static pre-screen that rejects a config before it
+//    reaches the device;
 //  * an optional JSON-lines trace (trace_log.h) recording proposed /
-//    compile / run / retry / result per trial with strategy attribution.
+//    dispatch / compile / run / retry / result / complete per trial with
+//    strategy attribution.
 //
-// Two batch execution modes:
-//
-//  * serial (default) — trials run inline in submission order. This is
-//    bit-identical to the historical sequential measure loop, which keeps
-//    stateful devices (SwingSimDevice's jitter RNG) and therefore the
-//    paper-figure CSVs deterministic.
-//  * parallel — trials are dispatched onto the shared ThreadPool, capped
-//    by Device::max_concurrent_measurements() (a device that is stateful
-//    or order-sensitive reports 1 and is automatically driven serially,
-//    so SwingSimDevice results are identical either way, while CpuDevice
-//    batches really overlap on a multi-core host).
-//
-// On top of the batch interface the runner exposes a completion-driven
-// streaming mode — submit(input) -> ticket, wait_any() -> (ticket,
-// result) — with no wave barrier: every measurement slot is refilled the
-// moment it frees up, so one straggling trial never idles the other
-// slots (the batch path, by contrast, waits for the slowest member of
-// each wave). Streaming trials carry the same per-trial fault isolation,
-// retry policy, and pre-screen as batches, plus `dispatch` / `complete`
-// trace events bracketing each slot occupancy. Submissions must come
-// from outside the runner's thread pool (the driver thread); completion
-// order is whatever the device delivers, which with a serial runner
-// (async_slots() == 1) degenerates to submission order — the fixed-seed
-// determinism mode.
+// async_slots() is the one concurrency rule: min of the pool width and
+// Device::max_concurrent_measurements(), and 1 when the runner is not
+// parallel, the device is stateful (SwingSimDevice's jitter RNG reports
+// 1), or the caller is itself a pool worker (a nested dispatch would
+// block a worker on its own queue). With one slot the trials run inline
+// on the calling thread, inside wait_any(), in submission order — the
+// fixed-seed determinism mode that keeps the paper-figure CSVs
+// bit-identical whether or not --parallel is set. With more slots they
+// run on the shared ThreadPool and complete in whatever order the device
+// delivers. One driver thread at a time submits and collects.
 #pragma once
 
 #include <atomic>
@@ -63,16 +53,14 @@ struct RetryPolicy {
 };
 
 struct MeasureRunnerOptions {
-  /// Execute batch members concurrently (see the header comment for the
-  /// serial-fallback determinism contract).
+  /// Run trials concurrently on the thread pool (see the header comment
+  /// for the one-slot determinism contract).
   bool parallel = false;
   /// Run MeasureInput::static_check before dispatching each trial; a
   /// violation yields an invalid result ("analysis reject: rule: ...",
   /// tuner-visible like a timeout) and an `analysis_reject` trace event
   /// without ever spending a device/worker on the config.
   bool prescreen = false;
-  /// Extra cap on in-flight trials; 0 defers to the device/pool bounds.
-  std::size_t max_concurrency = 0;
   RetryPolicy retry;
   /// Optional JSON-lines event log (not owned; may be null).
   TraceLog* trace = nullptr;
@@ -96,13 +84,15 @@ class MeasureRunner {
   /// pool means the process-wide default pool.
   explicit MeasureRunner(Device* device, MeasureRunnerOptions options = {},
                          ThreadPool* pool = nullptr);
-  /// Drains any still-running streamed trials (their results are
-  /// discarded) before releasing the runner's state.
+  /// Waits for trials already running on the pool (their results are
+  /// discarded); queued trials that never started are dropped.
   ~MeasureRunner();
 
-  /// Measures every input; results[i] always corresponds to inputs[i].
-  /// Never throws for per-trial failures: a trial that throws or times
-  /// out is reported as an invalid MeasureResult carrying its error.
+  /// Submits every input and collects every completion; results[i]
+  /// always corresponds to inputs[i]. Never throws for per-trial
+  /// failures: a trial that throws or times out is reported as an
+  /// invalid MeasureResult carrying its error. CheckError while streamed
+  /// trials are in flight.
   std::vector<MeasureResult> measure_batch(
       std::span<const MeasureInput> inputs, const MeasureOption& option);
 
@@ -111,23 +101,23 @@ class MeasureRunner {
   MeasureResult measure_one(const MeasureInput& input,
                             const MeasureOption& option);
 
-  /// Streaming mode: enqueues one trial and returns immediately. The
-  /// trial starts the moment a slot (async_slots()) frees up — no wave
-  /// barrier — and its result is collected via wait_any(). Must be
-  /// called from outside the runner's thread pool.
+  /// Enqueues one trial and returns immediately. With several slots the
+  /// trial starts on the pool the moment a slot frees up; with one it
+  /// runs inside a later wait_any(). Collect its result via wait_any().
   Ticket submit(MeasureInput input, const MeasureOption& option);
 
-  /// Blocks until any streamed trial completes and returns it (completion
-  /// order, not submission order). CheckError when nothing is in flight.
-  /// Must be called from outside the runner's thread pool.
+  /// Blocks until any submitted trial completes and returns it
+  /// (completion order, not submission order). When no trial is running
+  /// it runs the oldest queued one inline. CheckError when nothing is in
+  /// flight.
   Completion wait_any();
 
-  /// Streamed trials submitted but not yet returned by wait_any().
+  /// Trials submitted but not yet returned by wait_any().
   std::size_t in_flight() const;
 
-  /// Concurrent streaming slots: min of the device bound, the pool
-  /// width, and options().max_concurrency — 1 when the runner is not
-  /// parallel (the deterministic serial mode).
+  /// Concurrent trials for a caller on this thread: min of the device
+  /// bound and the pool width — 1 when the runner is not parallel or the
+  /// caller is a pool worker (the deterministic inline mode).
   std::size_t async_slots() const;
 
   /// Re-attributes subsequent trace events (e.g. per-strategy sessions).
@@ -141,16 +131,13 @@ class MeasureRunner {
   std::size_t analysis_rejects() const { return analysis_rejects_; }
 
  private:
-  /// One submitted-but-not-yet-dispatched streamed trial.
+  /// One submitted-but-not-yet-started trial.
   struct AsyncJob {
     Ticket ticket = 0;
     MeasureInput input;
     MeasureOption option;
   };
 
-  /// In-flight cap for one batch: min of batch size, device concurrency
-  /// bound, pool width, and the configured cap (all where > 0).
-  std::size_t concurrency_limit(std::size_t batch) const;
   /// One trial end-to-end: attempts + retries + trace events. Never
   /// throws.
   MeasureResult run_trial(const MeasureInput& input,
@@ -158,9 +145,12 @@ class MeasureRunner {
   /// One device->measure call with fault isolation. Never throws.
   MeasureResult attempt_once(const MeasureInput& input,
                              const MeasureOption& option);
-  /// Slot refill: dispatches queued jobs while slots are free. Caller
-  /// holds async_mutex_.
-  void dispatch_ready_locked();
+  /// run_trial bracketed by the dispatch / complete trace events.
+  MeasureResult run_job(const AsyncJob& job);
+  /// Slot refill: hands queued jobs to the pool while fewer than `slots`
+  /// run. With one slot it leaves them for wait_any() to run inline.
+  /// Caller holds async_mutex_.
+  void dispatch_ready_locked(std::size_t slots);
   void trace_proposed(const MeasureInput& input, std::size_t trial);
   Json event(const char* name, std::size_t trial) const;
 
@@ -170,8 +160,8 @@ class MeasureRunner {
   std::atomic<std::size_t> next_trial_{0};
   std::atomic<std::size_t> analysis_rejects_{0};
 
-  // Streaming state: queued jobs wait for a slot; completions wait for
-  // wait_any(). outstanding_ = queued + running + completed-uncollected.
+  // Queued jobs wait for a slot; completions wait for wait_any().
+  // outstanding_ = queued + running + completed-uncollected.
   mutable std::mutex async_mutex_;
   std::condition_variable async_cv_;
   std::deque<AsyncJob> async_queue_;

@@ -1,48 +1,11 @@
 #include "tuners/measure_loop.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <map>
 
 #include "common/logging.h"
 
 namespace tvmbo::tuners {
-
-MeasureLoopResult run_measure_loop(Tuner& tuner,
-                                   runtime::MeasureRunner& runner,
-                                   const MeasureInputFn& make_input,
-                                   const MeasureLoopOptions& options) {
-  TVMBO_CHECK(static_cast<bool>(make_input))
-      << "measure loop requires an input builder";
-  TVMBO_CHECK_GT(options.batch_size, 0u) << "batch_size must be positive";
-
-  MeasureLoopResult out;
-  while (out.evaluations < options.max_evaluations && tuner.has_next()) {
-    const std::size_t want = std::min(
-        options.batch_size, options.max_evaluations - out.evaluations);
-    const std::vector<cs::Configuration> batch = tuner.next_batch(want);
-    if (batch.empty()) break;
-
-    std::vector<runtime::MeasureInput> inputs;
-    inputs.reserve(batch.size());
-    for (const cs::Configuration& config : batch) {
-      inputs.push_back(make_input(config));
-    }
-    const std::vector<runtime::MeasureResult> measured =
-        runner.measure_batch(inputs, options.measure);
-
-    std::vector<Trial> trials;
-    trials.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      trials.push_back(
-          {batch[i], measured[i].runtime_s, measured[i].valid});
-    }
-    tuner.update(trials);
-    out.trials.insert(out.trials.end(), trials.begin(), trials.end());
-    out.results.insert(out.results.end(), measured.begin(), measured.end());
-    out.evaluations += batch.size();
-  }
-  return out;
-}
 
 AskTellSession::AskTellSession(Tuner& tuner, std::size_t max_evaluations)
     : tuner_(tuner), max_evaluations_(max_evaluations) {}
@@ -82,44 +45,119 @@ void AskTellSession::abandon() {
   ++completed_;
 }
 
+namespace {
+
+/// The plain loops: minimize runtime_s and collect every trial.
+MeasureLoopResult collect_runtime_loop(Tuner& tuner,
+                                       runtime::MeasureRunner& runner,
+                                       const MeasureInputFn& make_input,
+                                       const MeasureLoopOptions& options,
+                                       RoundPolicy policy) {
+  MeasureLoopResult out;
+  LoopHooks hooks;
+  hooks.metric = [](const runtime::MeasureResult& result) {
+    return std::make_pair(result.runtime_s, result.valid);
+  };
+  hooks.on_round = [&out](std::span<const Trial> trials,
+                          std::span<const runtime::MeasureResult> results) {
+    out.trials.insert(out.trials.end(), trials.begin(), trials.end());
+    out.results.insert(out.results.end(), results.begin(), results.end());
+    out.evaluations += trials.size();
+    return true;
+  };
+  drive_measure_loop(tuner, runner, make_input, options, policy, hooks);
+  return out;
+}
+
+}  // namespace
+
+void drive_measure_loop(Tuner& tuner, runtime::MeasureRunner& runner,
+                        const MeasureInputFn& make_input,
+                        const MeasureLoopOptions& options,
+                        RoundPolicy policy, const LoopHooks& hooks) {
+  TVMBO_CHECK(make_input && hooks.metric && hooks.on_round)
+      << "measure loop requires an input builder and both hooks";
+  const bool streaming = policy == RoundPolicy::kStreaming;
+  TVMBO_CHECK(streaming || options.batch_size > 0)
+      << "batch_size must be positive";
+  const std::size_t slots = runner.async_slots();
+  AskTellSession session(tuner, options.max_evaluations);  // streaming
+  std::size_t barrier_asked = 0;
+  // Ordered by ticket, which is submission order.
+  std::map<runtime::MeasureRunner::Ticket, cs::Configuration> in_flight;
+  const auto submit = [&](cs::Configuration config) {
+    const runtime::MeasureRunner::Ticket ticket =
+        runner.submit(make_input(config), options.measure);
+    in_flight.emplace(ticket, std::move(config));
+  };
+
+  bool proposing = true;
+  while (true) {
+    // Ask: streaming refills every free slot one proposal at a time (an
+    // ask is cheap next to a measurement); a barrier asks for its whole
+    // round once the previous round has been told.
+    if (streaming) {
+      while (proposing && in_flight.size() < slots) {
+        std::optional<cs::Configuration> next = session.ask();
+        if (!next.has_value()) break;
+        submit(std::move(*next));
+      }
+    } else if (proposing && barrier_asked < options.max_evaluations &&
+               tuner.has_next()) {
+      std::vector<cs::Configuration> batch = tuner.next_batch(std::min(
+          options.batch_size, options.max_evaluations - barrier_asked));
+      barrier_asked += batch.size();
+      for (cs::Configuration& config : batch) submit(std::move(config));
+    }
+    if (in_flight.empty()) break;  // budget spent, space exhausted, stopped
+
+    // A streaming round is one completion; a barrier round is all of
+    // them, reported in submission order.
+    std::vector<runtime::MeasureRunner::Completion> done;
+    do {
+      done.push_back(runner.wait_any());
+    } while (!streaming && done.size() < in_flight.size());
+    std::sort(done.begin(), done.end(), [](const auto& a, const auto& b) {
+      return a.ticket < b.ticket;
+    });
+    std::vector<Trial> trials;
+    std::vector<runtime::MeasureResult> results;
+    trials.reserve(done.size());
+    results.reserve(done.size());
+    for (runtime::MeasureRunner::Completion& completion : done) {
+      auto it = in_flight.find(completion.ticket);
+      TVMBO_CHECK(it != in_flight.end())
+          << "completion for unknown ticket " << completion.ticket;
+      const auto [metric, valid] = hooks.metric(completion.result);
+      trials.push_back({std::move(it->second), metric, valid});
+      in_flight.erase(it);
+      results.push_back(std::move(completion.result));
+    }
+
+    const bool keep_going = hooks.on_round(trials, results);
+    proposing = proposing && keep_going;
+    if (streaming) {
+      session.tell(trials[0].config, trials[0].runtime_s, trials[0].valid);
+    } else {
+      tuner.update(trials);
+    }
+  }
+}
+
+MeasureLoopResult run_measure_loop(Tuner& tuner,
+                                   runtime::MeasureRunner& runner,
+                                   const MeasureInputFn& make_input,
+                                   const MeasureLoopOptions& options) {
+  return collect_runtime_loop(tuner, runner, make_input, options,
+                              RoundPolicy::kBarrier);
+}
+
 MeasureLoopResult run_measure_loop_async(Tuner& tuner,
                                          runtime::MeasureRunner& runner,
                                          const MeasureInputFn& make_input,
                                          const MeasureLoopOptions& options) {
-  TVMBO_CHECK(static_cast<bool>(make_input))
-      << "measure loop requires an input builder";
-
-  MeasureLoopResult out;
-  AskTellSession session(tuner, options.max_evaluations);
-  std::unordered_map<runtime::MeasureRunner::Ticket, cs::Configuration>
-      in_flight;
-  const std::size_t slots = runner.async_slots();
-
-  while (!session.done()) {
-    // Refill every free slot before blocking: the tuner's ask() is cheap
-    // relative to a measurement.
-    while (in_flight.size() < slots) {
-      std::optional<cs::Configuration> next = session.ask();
-      if (!next.has_value()) break;
-      const runtime::MeasureRunner::Ticket ticket =
-          runner.submit(make_input(*next), options.measure);
-      in_flight.emplace(ticket, std::move(*next));
-    }
-    if (in_flight.empty()) break;  // budget or space exhausted: drain done
-
-    runtime::MeasureRunner::Completion completion = runner.wait_any();
-    auto it = in_flight.find(completion.ticket);
-    TVMBO_CHECK(it != in_flight.end())
-        << "completion for unknown ticket " << completion.ticket;
-    session.tell(it->second, completion.result.runtime_s,
-                 completion.result.valid);
-    out.trials.push_back({std::move(it->second), completion.result.runtime_s,
-                          completion.result.valid});
-    in_flight.erase(it);
-    out.results.push_back(std::move(completion.result));
-    out.evaluations += 1;
-  }
-  return out;
+  return collect_runtime_loop(tuner, runner, make_input, options,
+                              RoundPolicy::kStreaming);
 }
 
 }  // namespace tvmbo::tuners

@@ -1,16 +1,29 @@
-// The batched measure loop shared by AutoTVM-style drivers: repeatedly
-// ask a Tuner for its next batch (Step 1), measure every member through a
-// MeasureRunner (Steps 2–4: serial or parallel, fault-isolated, traced),
-// and feed the results back (Step 5), until the evaluation budget is
-// spent or the tuner exhausts its space.
+// The one ask -> measure -> tell driver behind every tuning loop: ask
+// the Tuner for configurations (Step 1), measure them through a
+// MeasureRunner (Steps 2–4: fault-isolated, traced, serial or parallel),
+// and tell the results back (Step 5), until the evaluation budget is
+// spent, the tuner exhausts its space, or the caller stops it.
 //
-// AutotuningSession wraps this same shape with the paper's process-time
-// model; this standalone loop is for callers that want real measurements
-// without the modeled clock (examples, tools, custom drivers).
+// A round policy is the only difference between the strategies' loops:
+//  * barrier — next_batch(B), measure the whole batch, one update (the
+//    AutoTVM batch of 8, ytopt's qLCB batches, the paper's sequential
+//    AMBS loop at B = 1);
+//  * streaming — ask one configuration per free runner slot and tell
+//    each completion as it lands (ytopt's asynchronous AMBS).
+// With a one-slot runner the two coincide at B = 1: strict
+// ask/measure/tell alternation, trajectory-identical at a fixed seed.
+//
+// The caller supplies two hooks: the metric the tuner minimizes (runtime,
+// energy, ...) and a per-round callback that records the trials and may
+// stop the loop. AutotuningSession uses them for its objective and its
+// process clock; run_measure_loop / run_measure_loop_async are the plain
+// runtime-minimizing loops for examples, tools and custom drivers.
 #pragma once
 
 #include <functional>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "runtime/measure_runner.h"
@@ -25,9 +38,36 @@ using MeasureInputFn =
 
 struct MeasureLoopOptions {
   std::size_t max_evaluations = 100;
-  std::size_t batch_size = 8;
+  std::size_t batch_size = 8;  ///< B of a barrier round
   runtime::MeasureOption measure;
 };
+
+/// How many proposals the driver holds before it reports back.
+enum class RoundPolicy {
+  kBarrier,    ///< next_batch(batch_size), measure all, one update
+  kStreaming,  ///< ask one per free runner slot, tell each completion
+};
+
+struct LoopHooks {
+  /// Maps a measurement to (metric the tuner minimizes, valid).
+  std::function<std::pair<double, bool>(const runtime::MeasureResult&)>
+      metric;
+  /// Called once per completed round — a barrier's whole batch in
+  /// submission order, or one streamed completion — before the tuner is
+  /// told; trials[i] carries the mapped metric of results[i]. Returning
+  /// false stops proposing: the driver still tells (and reports here)
+  /// every trial already in flight, then returns.
+  std::function<bool(std::span<const Trial> trials,
+                     std::span<const runtime::MeasureResult> results)>
+      on_round;
+};
+
+/// Runs the loop to completion. Per-trial failures never abort it: they
+/// reach the tuner as invalid trials. Both hooks are required.
+void drive_measure_loop(Tuner& tuner, runtime::MeasureRunner& runner,
+                        const MeasureInputFn& make_input,
+                        const MeasureLoopOptions& options,
+                        RoundPolicy policy, const LoopHooks& hooks);
 
 struct MeasureLoopResult {
   /// One entry per evaluation, in measurement order; trials[i] and
@@ -37,8 +77,7 @@ struct MeasureLoopResult {
   std::size_t evaluations = 0;
 };
 
-/// Runs the loop to completion. Per-trial failures never abort the loop:
-/// they come back as invalid trials (the tuner sees valid=false).
+/// The barrier loop minimizing runtime_s, collecting every trial.
 MeasureLoopResult run_measure_loop(Tuner& tuner,
                                    runtime::MeasureRunner& runner,
                                    const MeasureInputFn& make_input,
@@ -48,11 +87,11 @@ MeasureLoopResult run_measure_loop(Tuner& tuner,
 /// driving loop factored *out*: ask() hands the caller the next
 /// configuration to measure (strict ask-one order, so trajectories are
 /// reproducible) and tell() feeds a completed measurement back, while the
-/// session tracks budget, in-flight count, and space exhaustion. Both
-/// run_measure_loop_async and the tvmbo_serve scheduler drive their
-/// sessions through this class — the daemon's externally-ticked
-/// multi-tenant loops and the single-tenant `--async` loop are the same
-/// machine, which is what makes a fixed-seed serve job reproduce the
+/// session tracks budget, in-flight count, and space exhaustion. The
+/// streaming driver and the tvmbo_serve scheduler drive their sessions
+/// through this class — the daemon's externally-ticked multi-tenant
+/// loops and the single-tenant `--async` loop are the same machine,
+/// which is what makes a fixed-seed serve job reproduce the
 /// `--runner proc --async` trajectory bit-identically.
 ///
 /// Not thread-safe: exactly one driver (the loop, or the serve scheduler
@@ -96,14 +135,8 @@ class AskTellSession {
   bool exhausted_ = false;
 };
 
-/// Completion-driven variant: keeps runner.async_slots() trials in
-/// flight via submit()/wait_any(), asking the tuner for one more
-/// configuration the moment a slot frees and telling each result back as
-/// it lands (completion order) — no wave barrier, so one straggler never
-/// idles the other slots. With a serial runner (async_slots() == 1) the
-/// schedule degenerates to strict ask/measure/tell alternation: the
-/// fixed-seed deterministic mode, trajectory-identical to the batch loop
-/// at batch_size 1. trials[i]/results[i] are in completion order.
+/// The streaming loop minimizing runtime_s; trials[i]/results[i] are in
+/// completion order.
 MeasureLoopResult run_measure_loop_async(
     Tuner& tuner, runtime::MeasureRunner& runner,
     const MeasureInputFn& make_input, const MeasureLoopOptions& options = {});

@@ -1,5 +1,7 @@
 // MeasureRunner: deterministic ordering, serial/parallel equivalence,
-// per-trial fault isolation, retry policy, and the JSON-lines trace.
+// the device concurrency bound and inline one-slot execution on both
+// entry points, per-trial fault isolation, retry policy, and the
+// JSON-lines trace.
 #include "runtime/measure_runner.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -306,6 +309,93 @@ TEST(MeasureRunner, NestedDispatchFromWorkerRunsInline) {
   EXPECT_EQ(future.get(), 4u);
 }
 
+/// Declares a concurrency bound of 2 and records the peak number of
+/// measure() calls it ever saw running at once.
+class BoundedDevice final : public Device {
+ public:
+  std::string name() const override { return "bounded"; }
+
+  MeasureResult measure(const MeasureInput&, const MeasureOption&) override {
+    const int now = active_.fetch_add(1) + 1;
+    int seen = peak_.load();
+    while (now > seen && !peak_.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    active_.fetch_sub(1);
+    return MeasureResult{};
+  }
+
+  std::size_t max_concurrent_measurements() const override { return 2; }
+  int peak() const { return peak_.load(); }
+
+ private:
+  std::atomic<int> active_{0};
+  std::atomic<int> peak_{0};
+};
+
+TEST(MeasureRunner, DeviceBoundCapsConcurrencyOnBothEntryPoints) {
+  MeasureRunnerOptions options;
+  options.parallel = true;
+  ThreadPool pool(4);
+  const std::vector<MeasureInput> inputs = sim_batch(8);
+
+  BoundedDevice batch_device;
+  MeasureRunner batch_runner(&batch_device, options, &pool);
+  EXPECT_EQ(batch_runner.async_slots(), 2u);
+  batch_runner.measure_batch(inputs, MeasureOption{});
+  EXPECT_EQ(batch_device.peak(), 2);
+
+  BoundedDevice stream_device;
+  MeasureRunner stream_runner(&stream_device, options, &pool);
+  for (const MeasureInput& input : inputs) {
+    stream_runner.submit(input, MeasureOption{});
+  }
+  for (std::size_t i = 0; i < inputs.size(); ++i) stream_runner.wait_any();
+  EXPECT_EQ(stream_device.peak(), 2);
+}
+
+/// Records the thread every measure() call runs on.
+class ThreadRecordingDevice final : public Device {
+ public:
+  std::string name() const override { return "thread-recording"; }
+
+  MeasureResult measure(const MeasureInput&, const MeasureOption&) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    threads_.push_back(std::this_thread::get_id());
+    return MeasureResult{};
+  }
+
+  std::size_t max_concurrent_measurements() const override { return 0; }
+  std::vector<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return threads_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<std::thread::id> threads_;
+};
+
+TEST(MeasureRunner, SerialRunnerMeasuresOnTheCallingThread) {
+  // One slot means no pool handoff: both entry points run every trial
+  // inline on the driver's thread.
+  ThreadRecordingDevice device;
+  ThreadPool pool(4);
+  MeasureRunner runner(&device, MeasureRunnerOptions{}, &pool);
+  const std::vector<MeasureInput> inputs = sim_batch(4);
+  runner.measure_batch(inputs, MeasureOption{});
+  for (const MeasureInput& input : inputs) {
+    runner.submit(input, MeasureOption{});
+  }
+  for (std::size_t i = 0; i < inputs.size(); ++i) runner.wait_any();
+
+  const std::vector<std::thread::id> threads = device.threads();
+  ASSERT_EQ(threads.size(), 2 * inputs.size());
+  for (const std::thread::id id : threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
 TEST(MeasureLoop, QlcbBatchParallelEqualsSerial) {
   // The qLCB batch path end-to-end: ytopt proposes batches of 8, the
   // runner measures them — parallel and serial engines must produce the
@@ -400,6 +490,21 @@ TEST(Session, ParallelMeasurementMatchesSerialOnSwingSim) {
     EXPECT_DOUBLE_EQ(a.elapsed_s, b.elapsed_s);
   }
   EXPECT_DOUBLE_EQ(serial.total_time_s, parallel.total_time_s);
+}
+
+TEST(Session, AsyncRejectsYtoptBatch) {
+  // Streaming asks one configuration per free slot; a qLCB batch size
+  // would be silently ignored, so the combination is refused.
+  const autotvm::Task task =
+      kernels::make_task("lu", kernels::Dataset::kLarge);
+  SwingSimDevice device(2023);
+  framework::SessionOptions options;
+  options.async = true;
+  options.ytopt_batch_size = 4;
+  EXPECT_THROW(framework::AutotuningSession(&task, &device, options),
+               CheckError);
+  options.ytopt_batch_size = 1;
+  EXPECT_NO_THROW(framework::AutotuningSession(&task, &device, options));
 }
 
 }  // namespace

@@ -17,15 +17,17 @@
 //   --parallel  measure batch members concurrently on the thread pool
 //               (per-trial fault isolation; results stay in submission
 //               order; stateful devices like sim are auto-serialized)
-//   --async     completion-driven streaming measurement: every slot is
-//               refilled the moment a trial completes (no batch/wave
-//               barrier), results are told back to the strategy in
-//               completion order, and the process clock is real
-//               wall-clock. Pair with --parallel (and --runner proc
-//               --workers N) for overlap; without --parallel the async
-//               schedule is serial and fixed-seed deterministic
+//   --async     streaming rounds instead of batch barriers: every slot
+//               is refilled the moment a trial completes, results are
+//               told back to the strategy in completion order, and the
+//               process clock is real wall-clock. Pair with --parallel
+//               (and --runner proc --workers N) for overlap; without
+//               --parallel the async schedule is serial and fixed-seed
+//               deterministic
 //   --ytopt-batch N  qLCB proposal batch for ytopt (default 1 = paper's
-//               sequential AMBS; pair N>1 with --parallel)
+//               sequential AMBS; pair N>1 with --parallel). Streaming
+//               asks one configuration at a time, so --async with N > 1
+//               is a usage error
 //   --retries N re-run transiently failing trials up to N times
 //   --trace F   append the per-trial JSON-lines event log to file F
 //   --backend B execution tier for --device cpu: native (hand-written
@@ -204,6 +206,12 @@ Args parse(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
+  if (args.async && args.ytopt_batch > 1) {
+    std::fprintf(stderr,
+                 "error: --async streams one proposal per free slot; it "
+                 "cannot be combined with --ytopt-batch > 1\n");
+    usage(argv[0]);
+  }
 
   const kernels::Dataset dataset = kernels::dataset_from_name(args.size);
   const auto backend = runtime::exec_backend_from_name(args.backend);
