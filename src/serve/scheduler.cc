@@ -286,6 +286,9 @@ bool Scheduler::cancel(std::uint64_t job_id, const std::string& reason) {
     for (const auto& [dispatch, lease] : job.leases) {
       to_kill.push_back(lease);
     }
+    // With trials in flight the job retires on its last abandoned
+    // completion instead.
+    if (job.in_flight == 0) retire_locked(it);
   }
   // SIGKILL outside the lock: each dispatch thread comes back with the
   // crash verdict, its completion is abandoned, and the respawned slot
@@ -316,18 +319,30 @@ void Scheduler::finish_cancel_locked(Job& job, const std::string& reason,
   }
 }
 
+void Scheduler::retire_locked(JobMap::iterator it) {
+  retired_.emplace(it->first, it->second->status());
+  jobs_.erase(it);
+}
+
 std::optional<JobStatus> Scheduler::status(std::uint64_t job_id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = jobs_.find(job_id);
-  if (it == jobs_.end()) return std::nullopt;
-  return it->second->status();
+  if (auto it = jobs_.find(job_id); it != jobs_.end()) {
+    return it->second->status();
+  }
+  if (auto it = retired_.find(job_id); it != retired_.end()) {
+    return it->second;
+  }
+  return std::nullopt;
 }
 
 std::vector<JobStatus> Scheduler::list() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<JobStatus> out;
-  out.reserve(jobs_.size());
+  out.reserve(jobs_.size() + retired_.size());
   for (const auto& [id, job] : jobs_) out.push_back(job->status());
+  for (const auto& [id, snapshot] : retired_) out.push_back(snapshot);
+  std::sort(out.begin(), out.end(),
+            [](const JobStatus& a, const JobStatus& b) { return a.id < b.id; });
   return out;
 }
 
@@ -353,8 +368,11 @@ void Scheduler::drain() {
     cv_.wait(lock, [&] {
       return dispatch_threads_.empty() && completions_.empty();
     });
-    for (auto& [id, job] : jobs_) {
-      if (!job->terminal()) finish_cancel_locked(*job, "drain", events);
+    // Nothing is in flight any more, so every job retires here.
+    while (!jobs_.empty()) {
+      Job& job = *jobs_.begin()->second;
+      if (!job.terminal()) finish_cancel_locked(job, "drain", events);
+      retire_locked(jobs_.begin());
     }
   }
   emit(events);
@@ -516,6 +534,7 @@ void Scheduler::handle_completion_locked(Completion completion,
     // The trial raced the cancel (often SIGKILLed mid-run): drop it
     // without feeding the tuner — the session just balances its books.
     job.session->abandon();
+    if (job.in_flight == 0) retire_locked(it);
     return;
   }
 
@@ -594,6 +613,7 @@ void Scheduler::handle_completion_locked(Completion completion,
       frame.set("best_tiles", std::move(best));
       events.push_back({job.sink, std::move(frame)});
     }
+    retire_locked(it);  // done() implies nothing is in flight
   }
 }
 

@@ -28,6 +28,15 @@
 // admission and proposals, delivers in-flight results, then cancels
 // whatever is unfinished.
 //
+// Job lifetime: a job is live from admission until it is terminal (done
+// or cancelled) *and* has no dispatch in flight — the completion that
+// finishes it, a cancel with nothing in flight, the last abandoned
+// completion after a cancel, or drain(). Then it retires: the tuner,
+// session, space and event sink are freed, and a JobStatus snapshot
+// keeps answering status() and list(). Only live jobs are scanned by
+// the fill loop and by admission, so a daemon's per-trial cost does not
+// grow with the number of jobs it has served.
+//
 // All completed trials of all tenants append to one global JSONL perf
 // database through PerfDbAppender (crash/concurrency-safe appends), and
 // every jit-backend trial compiles into one shared content-addressed
@@ -134,9 +143,10 @@ class Scheduler {
 
   /// Cancels a queued/running job: stops proposing, SIGKILLs its
   /// in-flight workers, emits the job_cancel event. False when the job
-  /// is unknown or already terminal.
+  /// is unknown or already terminal (retired jobs included).
   bool cancel(std::uint64_t job, const std::string& reason);
 
+  /// Live jobs and retired snapshots alike; list() is in id order.
   std::optional<JobStatus> status(std::uint64_t job) const;
   std::vector<JobStatus> list() const;
 
@@ -161,12 +171,15 @@ class Scheduler {
   struct Job;
   struct Completion;
   struct PendingEvent;
+  using JobMap = std::map<std::uint64_t, std::unique_ptr<Job>>;
 
   void run();  ///< scheduler thread main
   void fill_slots_locked(std::vector<PendingEvent>& events);
   void handle_completion_locked(Completion completion,
                                 std::vector<PendingEvent>& events);
   Job* pick_job_locked();
+  /// Moves a terminal job with nothing in flight from jobs_ to retired_.
+  void retire_locked(JobMap::iterator it);
   void finish_cancel_locked(Job& job, const std::string& reason,
                             std::vector<PendingEvent>& events);
   void emit(std::vector<PendingEvent>& events);
@@ -181,7 +194,9 @@ class Scheduler {
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::map<std::uint64_t, std::unique_ptr<Job>> jobs_;
+  JobMap jobs_;  ///< live jobs only
+  /// Final snapshots of retired jobs (status/list answers; never cancellable).
+  std::map<std::uint64_t, JobStatus> retired_;
   std::deque<Completion> completions_;
   std::map<std::uint64_t, std::thread> dispatch_threads_;
   std::uint64_t next_job_id_ = 1;

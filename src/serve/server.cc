@@ -53,16 +53,29 @@ ServeServer::~ServeServer() { shutdown(); }
 void ServeServer::shutdown() {
   stop_.store(true);
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
+  std::map<std::uint64_t, std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(threads_mutex_);
     threads.swap(connection_threads_);
   }
-  for (std::thread& thread : threads) thread.join();
+  for (auto& [id, thread] : threads) thread.join();
+}
+
+void ServeServer::reap_finished_connections() {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(threads_mutex_);
+    for (std::uint64_t id : finished_connections_) {
+      finished.push_back(std::move(connection_threads_.extract(id).mapped()));
+    }
+    finished_connections_.clear();
+  }
+  for (std::thread& thread : finished) thread.join();
 }
 
 void ServeServer::accept_loop() {
   while (!stop_.load()) {
+    reap_finished_connections();
     std::optional<distd::Socket> conn;
     try {
       conn = listener_.accept(options_.poll_ms);
@@ -72,10 +85,13 @@ void ServeServer::accept_loop() {
     }
     if (!conn.has_value()) continue;
     std::lock_guard<std::mutex> lock(threads_mutex_);
-    connection_threads_.emplace_back(
-        [this, socket = std::move(*conn)]() mutable {
+    const std::uint64_t id = next_connection_id_++;
+    connection_threads_.emplace(
+        id, std::thread([this, id, socket = std::move(*conn)]() mutable {
           serve_connection(std::move(socket));
-        });
+          std::lock_guard<std::mutex> done(threads_mutex_);
+          finished_connections_.push_back(id);
+        }));
   }
 }
 
@@ -203,9 +219,16 @@ void ServeServer::handle_submit(distd::Socket& socket, const Json& request) {
   // vanished client (EOF cancels the job — an abandoned tenant must not
   // keep burning shared workers) and accept in-band job_cancel frames.
   for (;;) {
+    bool write_failed = false;
     {
       std::lock_guard<std::mutex> lock(state->mutex);
-      if (state->terminal || state->closed) break;
+      if (state->terminal) break;
+      write_failed = state->closed;
+    }
+    if (write_failed) {
+      // An event write failed: the client left before we read its EOF.
+      scheduler_->cancel(result.job, "client disconnected");
+      break;
     }
     if (stop_.load()) {
       // Server shutdown without a drain: the scheduler (or its owner)

@@ -8,11 +8,18 @@
 // allocation), and framing violations get a typed error frame before the
 // close — after a bad frame the stream cannot be re-synchronized, so the
 // connection always dies with it. A submit connection that disappears
-// (EOF) before its job finishes cancels the job: an abandoned tenant
-// must not keep burning shared workers.
+// (EOF, or a failed event write) before its job finishes cancels the
+// job: an abandoned tenant must not keep burning shared workers.
+//
+// Each connection runs on its own thread. A thread that finishes posts
+// its id, and the accept loop joins it before the next accept, so a
+// long-running daemon holds threads (and stacks) only for the
+// connections that are still open; shutdown() joins those.
 #pragma once
 
 #include <atomic>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -53,6 +60,7 @@ class ServeServer {
 
  private:
   void accept_loop();
+  void reap_finished_connections();
   void serve_connection(distd::Socket socket);
   void handle_submit(distd::Socket& socket, const Json& request);
 
@@ -62,7 +70,11 @@ class ServeServer {
   std::atomic<bool> stop_{false};
   std::thread accept_thread_;
   std::mutex threads_mutex_;
-  std::vector<std::thread> connection_threads_;
+  /// Every connection thread not yet joined, by connection id.
+  std::map<std::uint64_t, std::thread> connection_threads_;
+  /// Ids of connection threads that have returned and can be joined.
+  std::vector<std::uint64_t> finished_connections_;
+  std::uint64_t next_connection_id_ = 0;
 };
 
 }  // namespace tvmbo::serve

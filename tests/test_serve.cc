@@ -14,6 +14,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <fstream>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "distd/fault_kernels.h"
 #include "distd/proc_device.h"
 #include "framework/session.h"
@@ -79,7 +82,9 @@ JobSpec fault_spec(const std::string& kernel, std::size_t budget,
   return spec;
 }
 
-/// Thread-safe event collector usable as a job's EventSink.
+/// Thread-safe event collector usable as a job's EventSink. Declare it
+/// before the Scheduler that feeds it: the scheduler's destructor drains
+/// and may still emit into the log, so the log must be destroyed last.
 class EventLog {
  public:
   Scheduler::EventSink sink() {
@@ -212,10 +217,10 @@ TEST(Serve, LookupAnswersFromCacheWithoutDispatching) {
   std::ostringstream trace_out;
   runtime::TraceLog trace(&trace_out);
 
+  EventLog log;
   Scheduler scheduler(fast_options(1, &trace));
   EXPECT_EQ(scheduler.lookup_cache_size(), 0u);
 
-  EventLog log;
   const auto result =
       scheduler.submit(gemm_spec(kBudget, 2023), log.sink());
   ASSERT_TRUE(result.ok()) << result.message;
@@ -268,17 +273,22 @@ TEST(Serve, ThreeConcurrentJobsShareFourWorkers) {
   // gemm/mini's space has 18 configurations; stay under it so the jobs
   // finish by budget, not by space exhaustion.
   constexpr std::size_t kBudget = 15;
+  // 50 timed runs make each trial ~3 ms of kernel time, so slot time
+  // measures work rather than a few milliseconds of scheduling noise
+  // (at repeat 1 the test failed about one run in three under ctest -j4).
+  constexpr int kRepeat = 50;
   std::ostringstream trace_out;
   runtime::TraceLog trace(&trace_out);
 
-  Scheduler scheduler(fast_options(4, &trace));
   EventLog logs[3];
+  Scheduler scheduler(fast_options(4, &trace));
   std::uint64_t ids[3];
   const char* tenants[3] = {"alice", "bob", "carol"};
   for (int i = 0; i < 3; ++i) {
-    const auto result = scheduler.submit(
-        gemm_spec(kBudget, 100 + static_cast<std::uint64_t>(i), tenants[i]),
-        logs[i].sink());
+    JobSpec spec =
+        gemm_spec(kBudget, 100 + static_cast<std::uint64_t>(i), tenants[i]);
+    spec.repeat = kRepeat;
+    const auto result = scheduler.submit(spec, logs[i].sink());
     ASSERT_TRUE(result.ok()) << result.message;
     ids[i] = result.job;
   }
@@ -289,9 +299,8 @@ TEST(Serve, ThreeConcurrentJobsShareFourWorkers) {
   }
 
   // Deficit fair share: equal workloads + equal budgets must consume
-  // comparable slot time (generous bound — trial runtimes are microseconds
-  // and CI timing is noisy, but systematic starvation would blow way
-  // past it).
+  // comparable slot time (generous bound — CI timing is noisy, but
+  // systematic starvation would blow way past it).
   std::vector<double> seconds;
   for (int i = 0; i < 3; ++i) {
     const auto status = scheduler.status(ids[i]);
@@ -335,9 +344,12 @@ TEST(Serve, QuotaAndQueueRejectionsAreTyped) {
   options.max_jobs_per_tenant = 1;
   options.max_active_jobs = 2;
   options.max_budget = 50;
+  // Bob's job can still be running at scope exit: the logs must outlive
+  // the scheduler, whose destructor drains into them.
+  EventLog log_a;
+  EventLog log_b;
   Scheduler scheduler(options);
 
-  EventLog log_a;
   const auto a = scheduler.submit(fault_spec("fault.spin", 1, "alice"),
                                   log_a.sink());
   ASSERT_TRUE(a.ok()) << a.message;
@@ -345,7 +357,6 @@ TEST(Serve, QuotaAndQueueRejectionsAreTyped) {
   const auto a2 = scheduler.submit(gemm_spec(5, 1, "alice"), nullptr);
   EXPECT_EQ(a2.error_code, "quota_exceeded");
 
-  EventLog log_b;
   const auto b = scheduler.submit(gemm_spec(5, 1, "bob"), log_b.sink());
   ASSERT_TRUE(b.ok()) << b.message;
 
@@ -373,15 +384,15 @@ TEST(Serve, QuotaAndQueueRejectionsAreTyped) {
 /// it — cancellation frees capacity, it never strands it.
 TEST(Serve, CancelMidFlightFreesSlotToOtherTenant) {
   SKIP_WITHOUT_WORKER();
+  EventLog spin_log;
+  EventLog gemm_log;
   Scheduler scheduler(fast_options(1));
 
-  EventLog spin_log;
   const auto spin = scheduler.submit(fault_spec("fault.spin", 2, "alice"),
                                      spin_log.sink());
   ASSERT_TRUE(spin.ok()) << spin.message;
   ASSERT_TRUE(spin_log.wait_event("job_start"));
 
-  EventLog gemm_log;
   const auto gemm = scheduler.submit(gemm_spec(4, 7, "bob"),
                                      gemm_log.sink());
   ASSERT_TRUE(gemm.ok()) << gemm.message;
@@ -405,8 +416,8 @@ TEST(Serve, CancelMidFlightFreesSlotToOtherTenant) {
 /// job still runs its full budget — no ticket is ever stranded.
 TEST(Serve, WorkerCrashMidStreamDoesNotStrandJob) {
   SKIP_WITHOUT_WORKER();
-  Scheduler scheduler(fast_options(2));
   EventLog log;
+  Scheduler scheduler(fast_options(2));
   const auto result = scheduler.submit(fault_spec("fault.segv", 4),
                                        log.sink());
   ASSERT_TRUE(result.ok()) << result.message;
@@ -427,8 +438,8 @@ TEST(Serve, WorkerCrashMidStreamDoesNotStrandJob) {
 /// slots spawn lazily, and both jobs complete their budgets.
 TEST(Serve, ResizeDuringActiveJobsNeverStrands) {
   SKIP_WITHOUT_WORKER();
-  Scheduler scheduler(fast_options(3));
   EventLog logs[2];
+  Scheduler scheduler(fast_options(3));
   std::uint64_t ids[2];
   for (int i = 0; i < 2; ++i) {
     const auto result = scheduler.submit(
@@ -506,8 +517,8 @@ TEST(Serve, PoolLeaseAcquireReleaseResize) {
 
 TEST(Serve, DrainCancelsUnfinishedAndRejectsNew) {
   SKIP_WITHOUT_WORKER();
-  Scheduler scheduler(fast_options(1));
   EventLog logs[2];
+  Scheduler scheduler(fast_options(1));
   std::uint64_t ids[2];
   for (int i = 0; i < 2; ++i) {
     const auto result = scheduler.submit(
@@ -528,6 +539,91 @@ TEST(Serve, DrainCancelsUnfinishedAndRejectsNew) {
   }
   EXPECT_EQ(scheduler.submit(gemm_spec(5, 1), nullptr).error_code,
             "draining");
+}
+
+// --- Job lifetime ---------------------------------------------------------
+
+/// True once `ref` expires, polling for up to `timeout`.
+bool expires_within(const std::weak_ptr<int>& ref,
+                    std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!ref.expired() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return ref.expired();
+}
+
+/// A sink that forwards to `log` and keeps `token` alive for as long as
+/// the scheduler holds the sink.
+Scheduler::EventSink token_sink(EventLog& log, std::shared_ptr<int> token) {
+  return [inner = log.sink(), token = std::move(token)](const Json& frame) {
+    inner(frame);
+  };
+}
+
+/// A finished job retires: its tuner, session and event sink are freed
+/// (the token the sink captured expires), while status(), list() and
+/// cancel() answer from its final snapshot exactly as for a live job.
+/// list() stays in id order across retired and live jobs.
+TEST(Serve, FinishedJobsRetireToSnapshots) {
+  SKIP_WITHOUT_WORKER();
+  constexpr std::size_t kBudget = 4;
+  EventLog logs[3];
+  Scheduler scheduler(fast_options(2));
+
+  auto done_token = std::make_shared<int>(0);
+  const std::weak_ptr<int> done_ref = done_token;
+  const auto first =
+      scheduler.submit(gemm_spec(kBudget, 5, "alice"),
+                       token_sink(logs[0], std::move(done_token)));
+  ASSERT_TRUE(first.ok()) << first.message;
+  ASSERT_TRUE(logs[0].wait_terminal());
+  ASSERT_EQ(logs[0].count("job_complete"), 1u);
+  EXPECT_TRUE(expires_within(done_ref, std::chrono::seconds(5)))
+      << "a finished job still holds its event sink";
+
+  // A spinner keeps job 2 live on one worker while job 3 finishes on the
+  // other, so the live job sits between two retired ones.
+  auto spin_token = std::make_shared<int>(0);
+  const std::weak_ptr<int> spin_ref = spin_token;
+  const auto spin =
+      scheduler.submit(fault_spec("fault.spin", 1, "bob"),
+                       token_sink(logs[1], std::move(spin_token)));
+  ASSERT_TRUE(spin.ok()) << spin.message;
+  ASSERT_TRUE(logs[1].wait_event("job_start"));
+  const auto third =
+      scheduler.submit(gemm_spec(kBudget, 6, "carol"), logs[2].sink());
+  ASSERT_TRUE(third.ok()) << third.message;
+  ASSERT_TRUE(logs[2].wait_terminal());
+
+  const auto status = scheduler.status(first.job);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, JobState::kDone);
+  EXPECT_EQ(status->completed, kBudget);
+  EXPECT_EQ(status->in_flight, 0u);
+  EXPECT_GT(status->slot_seconds, 0.0);
+  EXPECT_GT(status->best_runtime_s, 0.0);
+
+  const std::vector<JobStatus> jobs = scheduler.list();
+  ASSERT_EQ(jobs.size(), 3u);
+  EXPECT_EQ(jobs[0].id, first.job);
+  EXPECT_EQ(jobs[1].id, spin.job);
+  EXPECT_EQ(jobs[2].id, third.job);
+  EXPECT_EQ(jobs[0].state, JobState::kDone);
+  EXPECT_EQ(jobs[0].completed, kBudget);
+  EXPECT_EQ(jobs[0].slot_seconds, status->slot_seconds);
+  EXPECT_EQ(jobs[1].state, JobState::kRunning);
+  EXPECT_EQ(jobs[2].state, JobState::kDone);
+  EXPECT_FALSE(scheduler.cancel(first.job, "late"));
+
+  // A cancelled job retires once its killed trial comes back.
+  ASSERT_TRUE(scheduler.cancel(spin.job, "test"));
+  ASSERT_TRUE(logs[1].wait_terminal());
+  EXPECT_TRUE(expires_within(spin_ref, std::chrono::seconds(5)))
+      << "a cancelled job still holds its event sink";
+  EXPECT_EQ(scheduler.status(spin.job)->state, JobState::kCancelled);
+  EXPECT_FALSE(scheduler.cancel(spin.job, "again"));
+  EXPECT_EQ(scheduler.list().size(), 3u);
 }
 
 // --- Socket server + client ----------------------------------------------
@@ -574,6 +670,55 @@ TEST(Serve, ServerSubmitStreamsEventsAndAnswersQueries) {
   EXPECT_FALSE(job_cancel(server.endpoint(), 999));
 
   scheduler.drain();
+  server.shutdown();
+}
+
+/// The process's mapped address space in kB, leaving out PROT_NONE
+/// reservations, or -1 without procfs. VmSize would also count the 64 MB
+/// that glibc reserves for each malloc arena it adds when threads happen
+/// to allocate at the same moment, which depends on scheduling; a thread
+/// stack (8 MB read-write) counts either way.
+long mapped_kb() {
+  std::ifstream maps("/proc/self/maps");
+  if (!maps) return -1;
+  long total = 0;
+  std::string line;
+  while (std::getline(maps, line)) {
+    std::istringstream fields(line);
+    std::string range;
+    std::string perms;
+    fields >> range >> perms;
+    if (starts_with(perms, "---")) continue;
+    const std::size_t dash = range.find('-');
+    const unsigned long begin = std::stoul(range.substr(0, dash), nullptr, 16);
+    const unsigned long end = std::stoul(range.substr(dash + 1), nullptr, 16);
+    total += static_cast<long>((end - begin) / 1024);
+  }
+  return total;
+}
+
+/// Every connection runs on its own thread; a finished one must be joined
+/// as the server goes on, or each request leaves a thread stack mapped
+/// (about 8 MB of address space) until shutdown.
+TEST(Serve, ServerReapsFinishedConnectionThreads) {
+  SKIP_WITHOUT_WORKER();
+  if (mapped_kb() < 0) GTEST_SKIP() << "no /proc/self/maps";
+  Scheduler scheduler(fast_options(1));
+  ServerOptions server_options;
+  server_options.socket_path = temp_socket_path("reap");
+  server_options.poll_ms = 50;
+  ServeServer server(&scheduler, server_options);
+
+  const long before_kb = mapped_kb();
+  for (int i = 0; i < 300; ++i) {
+    const Json reply = job_list(server.endpoint());
+    ASSERT_EQ(reply.at("type").as_string(), "list_reply");
+  }
+  const long grown_kb = mapped_kb() - before_kb;
+
+  EXPECT_LT(grown_kb, 256 * 1024)
+      << "300 list requests grew the address space by " << grown_kb / 1024
+      << " MB";
   server.shutdown();
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/logging.h"
 
 namespace tvmbo {
@@ -74,6 +76,66 @@ TEST(StringUtil, SubstituteLongestPlaceholderFirst) {
 TEST(StringUtil, SubstituteUnboundPlaceholderThrows) {
   const std::map<std::string, std::string> values{{"#P0", "1"}};
   EXPECT_THROW(substitute_placeholders("#P0 #P1", values), CheckError);
+}
+
+TEST(StringUtil, ParseNumberAcceptsWholeValues) {
+  EXPECT_EQ(parse_number<std::size_t>("0"), 0u);
+  EXPECT_EQ(parse_number<std::size_t>("120"), 120u);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            UINT64_MAX);
+  EXPECT_EQ(parse_number<int>("-3"), -3);
+  EXPECT_EQ(parse_number<std::int64_t>("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(parse_number<double>("0.25"), 0.25);
+  EXPECT_EQ(parse_number<double>("-1e-3"), -1e-3);
+  EXPECT_EQ(parse_number<double>("5"), 5.0);
+}
+
+TEST(StringUtil, ParseNumberRejectsEmptyInput) {
+  EXPECT_FALSE(parse_number<std::size_t>("").has_value());
+  EXPECT_FALSE(parse_number<int>("").has_value());
+  EXPECT_FALSE(parse_number<double>("").has_value());
+}
+
+TEST(StringUtil, ParseNumberRejectsNonNumbers) {
+  EXPECT_FALSE(parse_number<std::size_t>("abc").has_value());
+  EXPECT_FALSE(parse_number<int>("-").has_value());
+  EXPECT_FALSE(parse_number<double>(".").has_value());
+}
+
+TEST(StringUtil, ParseNumberRejectsTrailingCharacters) {
+  EXPECT_FALSE(parse_number<std::size_t>("12abc").has_value());
+  EXPECT_FALSE(parse_number<std::size_t>("12 ").has_value());
+  EXPECT_FALSE(parse_number<std::size_t>("0x10").has_value());
+  EXPECT_FALSE(parse_number<int>("1.5").has_value());
+  EXPECT_FALSE(parse_number<double>("2.5s").has_value());
+}
+
+TEST(StringUtil, ParseNumberRejectsLeadingCharacters) {
+  EXPECT_FALSE(parse_number<std::size_t>(" 12").has_value());
+  EXPECT_FALSE(parse_number<int>("\t3").has_value());
+  EXPECT_FALSE(parse_number<double>(" 1.0").has_value());
+}
+
+TEST(StringUtil, ParseNumberRejectsSignOnUnsigned) {
+  EXPECT_FALSE(parse_number<std::size_t>("-1").has_value());
+  EXPECT_FALSE(parse_number<std::uint64_t>("-0").has_value());
+  EXPECT_FALSE(parse_number<std::size_t>("+1").has_value());
+  EXPECT_FALSE(parse_number<int>("+1").has_value());
+}
+
+TEST(StringUtil, ParseNumberRejectsOverflow) {
+  EXPECT_FALSE(parse_number<std::uint64_t>("18446744073709551616")
+                   .has_value());
+  EXPECT_FALSE(parse_number<int>("2147483648").has_value());
+  EXPECT_FALSE(parse_number<int>("-2147483649").has_value());
+  EXPECT_FALSE(parse_number<std::int64_t>("9223372036854775808")
+                   .has_value());
+  EXPECT_FALSE(parse_number<double>("1e999").has_value());
+}
+
+TEST(StringUtil, ParseNumberRejectsNonFinite) {
+  EXPECT_FALSE(parse_number<double>("inf").has_value());
+  EXPECT_FALSE(parse_number<double>("nan").has_value());
 }
 
 }  // namespace

@@ -34,8 +34,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "distd/protocol.h"
 #include "serve/client.h"
 
@@ -94,10 +96,21 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // A numeric flag's whole value must parse, or it is a usage error.
+    auto number = [&](auto& out) {
+      const std::string text = value();
+      const auto parsed = parse_number<std::decay_t<decltype(out)>>(text);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr, "error: invalid value '%s' for %s\n",
+                     text.c_str(), arg.c_str());
+        usage(argv[0]);
+      }
+      out = *parsed;
+    };
     if (arg == "--connect") {
       endpoint = value();
     } else if (arg == "--job") {
-      job = static_cast<std::uint64_t>(std::atoll(value().c_str()));
+      number(job);
       have_job = true;
     } else if (arg == "--kernel") {
       spec.kernel = value();
@@ -106,23 +119,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--strategy") {
       spec.strategy = value();
     } else if (arg == "--budget") {
-      spec.budget = static_cast<std::size_t>(std::atoll(value().c_str()));
+      number(spec.budget);
     } else if (arg == "--nthreads") {
-      spec.nthreads = std::atoll(value().c_str());
+      number(spec.nthreads);
     } else if (arg == "--seed") {
-      spec.seed = static_cast<std::uint64_t>(std::atoll(value().c_str()));
+      number(spec.seed);
     } else if (arg == "--priority") {
-      spec.priority = std::atoi(value().c_str());
+      number(spec.priority);
     } else if (arg == "--tenant") {
       spec.tenant = value();
     } else if (arg == "--backend") {
       spec.backend = value();
     } else if (arg == "--repeat") {
-      spec.repeat = std::atoi(value().c_str());
+      number(spec.repeat);
     } else if (arg == "--timeout") {
-      spec.timeout_s = std::atof(value().c_str());
+      number(spec.timeout_s);
     } else if (arg == "--topk") {
-      topk = std::atoll(value().c_str());
+      number(topk);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       usage(argv[0]);

@@ -63,12 +63,16 @@
 // violation was found, 2 on usage errors.
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "analysis/config_screen.h"
 #include "analysis/proof_cache.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "kernels/polybench.h"
 #include "kernels/te_programs.h"
 #include "te/printer.h"
@@ -120,14 +124,14 @@ void print_usage(std::FILE* out, const char* argv0) {
   std::exit(2);
 }
 
-std::vector<std::int64_t> parse_tiles(const std::string& text) {
+/// Comma-separated tile factors; nullopt if any field is not an integer.
+std::optional<std::vector<std::int64_t>> parse_tiles(const std::string& text) {
   std::vector<std::int64_t> tiles;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t next = text.find(',', pos);
-    if (next == std::string::npos) next = text.size();
-    tiles.push_back(std::stoll(text.substr(pos, next - pos)));
-    pos = next + 1;
+  for (const std::string& field : split(text, ',')) {
+    const std::optional<std::int64_t> tile =
+        parse_number<std::int64_t>(field);
+    if (!tile.has_value()) return std::nullopt;
+    tiles.push_back(*tile);
   }
   return tiles;
 }
@@ -140,16 +144,34 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // A numeric flag's whole value must parse, or it is a usage error.
+    auto number = [&](auto& out) {
+      const std::string text = value();
+      const auto parsed = parse_number<std::decay_t<decltype(out)>>(text);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr, "error: invalid value '%s' for %s\n",
+                     text.c_str(), flag.c_str());
+        usage(argv[0]);
+      }
+      out = *parsed;
+    };
     if (flag == "--kernel") args.kernel = value();
     else if (flag == "--size") args.size = value();
     else if (flag == "--tiles") {
-      args.tiles = parse_tiles(value());
+      const std::string text = value();
+      std::optional<std::vector<std::int64_t>> tiles = parse_tiles(text);
+      if (!tiles.has_value()) {
+        std::fprintf(stderr, "error: invalid value '%s' for --tiles\n",
+                     text.c_str());
+        usage(argv[0]);
+      }
+      args.tiles = std::move(*tiles);
       args.have_tiles = true;
     } else if (flag == "--sweep") args.sweep = true;
-    else if (flag == "--samples") args.samples = std::stoul(value());
+    else if (flag == "--samples") number(args.samples);
     else if (flag == "--exhaustive") args.exhaustive = true;
-    else if (flag == "--threads") args.threads = std::stoll(value());
-    else if (flag == "--seed") args.seed = std::stoull(value());
+    else if (flag == "--threads") number(args.threads);
+    else if (flag == "--seed") number(args.seed);
     else if (flag == "--verbose") args.verbose = true;
     else if (flag == "--explain") args.explain = true;
     else if (flag == "--no-cache") args.no_cache = true;

@@ -35,7 +35,9 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <type_traits>
 
+#include "common/string_util.h"
 #include "runtime/trace_log.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
@@ -71,17 +73,27 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // A numeric flag's whole value must parse, or it is a usage error.
+    auto number = [&](auto& out) {
+      const std::string text = value();
+      const auto parsed = parse_number<std::decay_t<decltype(out)>>(text);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr, "error: invalid value '%s' for %s\n",
+                     text.c_str(), arg.c_str());
+        usage(argv[0]);
+      }
+      out = *parsed;
+    };
     if (arg == "--socket") {
       server_opts.transport = "unix";
       server_opts.socket_path = value();
       have_endpoint = true;
     } else if (arg == "--tcp") {
       server_opts.transport = "tcp";
-      server_opts.tcp_port = std::atoi(value().c_str());
+      number(server_opts.tcp_port);
       have_endpoint = true;
     } else if (arg == "--workers") {
-      sched_opts.pool.num_workers =
-          static_cast<std::size_t>(std::atoi(value().c_str()));
+      number(sched_opts.pool.num_workers);
     } else if (arg == "--db") {
       sched_opts.perf_db_path = value();
     } else if (arg == "--model") {
@@ -89,14 +101,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace") {
       trace_path = value();
     } else if (arg == "--max-active") {
-      sched_opts.max_active_jobs =
-          static_cast<std::size_t>(std::atoi(value().c_str()));
+      number(sched_opts.max_active_jobs);
     } else if (arg == "--tenant-quota") {
-      sched_opts.max_jobs_per_tenant =
-          static_cast<std::size_t>(std::atoi(value().c_str()));
+      number(sched_opts.max_jobs_per_tenant);
     } else if (arg == "--max-budget") {
-      sched_opts.max_budget =
-          static_cast<std::size_t>(std::atoi(value().c_str()));
+      number(sched_opts.max_budget);
     } else if (arg == "--worker-bin") {
       sched_opts.pool.worker_binary = value();
     } else {

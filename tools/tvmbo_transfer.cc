@@ -29,9 +29,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "kernels/polybench.h"
 #include "runtime/perf_db.h"
 #include "transfer/cost_model.h"
@@ -77,16 +79,27 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // A numeric flag's whole value must parse, or it is a usage error.
+    auto number = [&](auto& out) {
+      const std::string text = value();
+      const auto parsed = parse_number<std::decay_t<decltype(out)>>(text);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr, "error: invalid value '%s' for %s\n",
+                     text.c_str(), flag.c_str());
+        usage(argv[0]);
+      }
+      out = *parsed;
+    };
     if (flag == "--db") args.dbs.push_back(value());
     else if (flag == "--out") args.out = value();
     else if (flag == "--model") args.model = value();
     else if (flag == "--learner") args.learner = value();
-    else if (flag == "--seed") args.seed = std::stoull(value());
+    else if (flag == "--seed") number(args.seed);
     else if (flag == "--kernel") args.kernel = value();
     else if (flag == "--size") args.size = value();
-    else if (flag == "--nthreads") args.nthreads = std::stoll(value());
-    else if (flag == "--topk") args.topk = std::stoul(value());
-    else if (flag == "--pool") args.pool = std::stoul(value());
+    else if (flag == "--nthreads") number(args.nthreads);
+    else if (flag == "--topk") number(args.topk);
+    else if (flag == "--pool") number(args.pool);
     else usage(argv[0]);
   }
   return args;

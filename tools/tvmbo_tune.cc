@@ -94,10 +94,12 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "analysis/proof_cache.h"
 #include "codegen/artifact_cache.h"
 #include "codegen/jit_program.h"
+#include "common/string_util.h"
 #include "distd/proc_device.h"
 #include "framework/figures.h"
 #include "framework/session.h"
@@ -169,33 +171,44 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // A numeric flag's whole value must parse, or it is a usage error.
+    auto number = [&](auto& out) {
+      const std::string text = value();
+      const auto parsed = parse_number<std::decay_t<decltype(out)>>(text);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr, "error: invalid value '%s' for %s\n",
+                     text.c_str(), flag.c_str());
+        usage(argv[0]);
+      }
+      out = *parsed;
+    };
     if (flag == "--kernel") args.kernel = value();
     else if (flag == "--size") args.size = value();
     else if (flag == "--strategy") args.strategy = value();
-    else if (flag == "--evals") args.evals = std::stoul(value());
-    else if (flag == "--seed") args.seed = std::stoull(value());
+    else if (flag == "--evals") number(args.evals);
+    else if (flag == "--seed") number(args.seed);
     else if (flag == "--device") args.device = value();
     else if (flag == "--objective") args.objective = value();
-    else if (flag == "--xgb-cap") args.xgb_cap = std::stoul(value());
+    else if (flag == "--xgb-cap") number(args.xgb_cap);
     else if (flag == "--out") args.out = value();
     else if (flag == "--parallel") args.parallel = true;
     else if (flag == "--async") args.async = true;
-    else if (flag == "--ytopt-batch") args.ytopt_batch = std::stoul(value());
-    else if (flag == "--retries") args.retries = std::stoi(value());
+    else if (flag == "--ytopt-batch") number(args.ytopt_batch);
+    else if (flag == "--retries") number(args.retries);
     else if (flag == "--trace") args.trace = value();
     else if (flag == "--backend") args.backend = value();
     else if (flag == "--jit-cache") args.jit_cache = value();
     else if (flag == "--warm-start") args.warm_start = value();
     else if (flag == "--transfer") args.transfer = value();
-    else if (flag == "--transfer-topk") args.transfer_topk = std::stoul(value());
-    else if (flag == "--transfer-pool") args.transfer_pool = std::stoul(value());
-    else if (flag == "--threads") args.threads = std::stoll(value());
+    else if (flag == "--transfer-topk") number(args.transfer_topk);
+    else if (flag == "--transfer-pool") number(args.transfer_pool);
+    else if (flag == "--threads") number(args.threads);
     else if (flag == "--vectorize") args.vectorize = true;
     else if (flag == "--unroll") args.unroll = true;
     else if (flag == "--pack") args.pack = true;
     else if (flag == "--runner") args.runner = value();
-    else if (flag == "--workers") args.workers = std::stoul(value());
-    else if (flag == "--timeout") args.timeout_s = std::stod(value());
+    else if (flag == "--workers") number(args.workers);
+    else if (flag == "--timeout") number(args.timeout_s);
     else if (flag == "--screen") args.screen = true;
     else usage(argv[0]);
   }

@@ -17,7 +17,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 
+#include "common/string_util.h"
 #include "distd/worker.h"
 
 namespace {
@@ -40,11 +42,22 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // A numeric flag's whole value must parse, or it is a usage error.
+    auto number = [&](auto& out) {
+      const std::string text = value();
+      const auto parsed =
+          tvmbo::parse_number<std::decay_t<decltype(out)>>(text);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr, "error: invalid value '%s' for %s\n",
+                     text.c_str(), flag.c_str());
+        usage(argv[0]);
+      }
+      out = *parsed;
+    };
     if (flag == "--connect") config.endpoint = value();
-    else if (flag == "--worker-id") config.worker_id = std::stoi(value());
-    else if (flag == "--heartbeat-ms") {
-      config.heartbeat_ms = std::stoi(value());
-    } else {
+    else if (flag == "--worker-id") number(config.worker_id);
+    else if (flag == "--heartbeat-ms") number(config.heartbeat_ms);
+    else {
       usage(argv[0]);
     }
   }
