@@ -228,13 +228,26 @@ TeLoweredProgram lower_te_program(const std::string& kernel,
   return lowered;
 }
 
+namespace {
+
+TeLoweredProgram lower_for(const std::shared_ptr<TeKernelData>& data,
+                           std::span<const std::int64_t> tiles) {
+  TVMBO_CHECK(data != nullptr) << "null kernel data";
+  return lower_te_program(data->kernel, data->dims, tiles);
+}
+
+}  // namespace
+
 TeProgramInstance::TeProgramInstance(std::shared_ptr<TeKernelData> data,
                                      std::span<const std::int64_t> tiles)
+    : TeProgramInstance(data, lower_for(data, tiles)) {}
+
+TeProgramInstance::TeProgramInstance(std::shared_ptr<TeKernelData> data,
+                                     TeLoweredProgram lowered)
     : data_(std::move(data)) {
   TVMBO_CHECK(data_ != nullptr) << "null kernel data";
   const std::string& kernel = data_->kernel;
   const std::vector<std::int64_t>& dims = data_->dims;
-  TeLoweredProgram lowered = lower_te_program(kernel, dims, tiles);
   stmt_ = lowered.stmt;
   parallel_threads_ = lowered.parallel_threads;
   unroll_factor_ = lowered.unroll_factor;
@@ -282,9 +295,12 @@ void TeProgramInstance::reset() {
 
 namespace {
 
-/// Execution state shared between a MeasureInput's prepare and run
-/// closures. prepare() fills it; run() executes it.
+/// Execution state shared between a MeasureInput's static_check, prepare
+/// and run closures. static_check leaves the program it screened in
+/// `screened`; prepare() takes it (or lowers anew when there is none) and
+/// fills the rest; run() executes it.
 struct TeExecState {
+  std::optional<TeLoweredProgram> screened;
   std::unique_ptr<TeProgramInstance> instance;
   std::optional<te::CompiledProgram> closure;
   std::optional<codegen::JitProgram> jit;
@@ -295,7 +311,11 @@ void prepare_state(TeExecState& state,
                    const std::vector<std::int64_t>& tiles,
                    runtime::ExecBackend backend,
                    const codegen::JitOptions& jit_options) {
-  state.instance = std::make_unique<TeProgramInstance>(data, tiles);
+  std::optional<TeLoweredProgram> screened =
+      std::exchange(state.screened, std::nullopt);
+  state.instance =
+      screened ? std::make_unique<TeProgramInstance>(data, std::move(*screened))
+               : std::make_unique<TeProgramInstance>(data, tiles);
   switch (backend) {
     case runtime::ExecBackend::kInterp:
       break;  // the interpreter walks the IR directly; nothing to compile
@@ -359,19 +379,21 @@ runtime::MeasureInput make_te_measure_input(
     prepare_state(*state, data, tiles, backend, jit_options);
   };
   input.run = [state, backend] { run_state(*state, backend); };
-  // Static pre-screen: instantiate + lower the config (cheap, no
-  // execution) and run the full verifier. Construction itself may throw a
-  // CheckError whose message already names the violated rule (e.g.
+  // Static pre-screen: lower the config (cheap, no buffers, no execution)
+  // and run the full verifier. Lowering itself may throw a CheckError
+  // whose message already names the violated rule (e.g.
   // parallel-loop-race from annotate_loop); that surfaces as the
-  // violation string too.
-  input.static_check = [data = std::move(data), tiles]() -> std::string {
+  // violation string too. A passing program is kept for prepare, so a
+  // screened trial lowers once.
+  input.static_check = [state, data = std::move(data),
+                        tiles]() -> std::string {
     try {
-      TeProgramInstance instance(data, tiles);
-      std::vector<te::Tensor> params;
-      for (const auto& [tensor, array] : instance.bindings()) {
-        params.push_back(tensor);
-      }
-      return analysis::screen_program(instance.stmt(), params).first_error();
+      TeLoweredProgram lowered = lower_for(data, tiles);
+      std::string violation =
+          analysis::screen_program(lowered.stmt, lowered.params)
+              .first_error();
+      if (violation.empty()) state->screened = std::move(lowered);
+      return violation;
     } catch (const std::exception& e) {
       return e.what();
     }

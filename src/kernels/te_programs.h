@@ -104,6 +104,11 @@ class TeProgramInstance {
   TeProgramInstance(std::shared_ptr<TeKernelData> data,
                     std::span<const std::int64_t> tiles);
 
+  /// Instantiates an already lowered program (lower_te_program of the
+  /// same kernel and dims), allocating its buffers as above.
+  TeProgramInstance(std::shared_ptr<TeKernelData> data,
+                    TeLoweredProgram lowered);
+
   const te::Stmt& stmt() const { return stmt_; }
 
   /// Thread budget from the extended tile vector (1 when absent).
@@ -146,7 +151,10 @@ class TeProgramInstance {
 
 /// Builds a MeasureInput whose `prepare` instantiates + compiles the
 /// configured program for `backend` (kInterp skips compilation) and whose
-/// `run` executes it once. kNative is not valid here — native kernels
+/// `run` executes it once. Its `static_check` lowers and screens the
+/// config and hands a passing program to the next `prepare`, so a
+/// screened trial lowers once; an unscreened `prepare`, or a second one
+/// (a retry), lowers itself. kNative is not valid here — native kernels
 /// don't go through the TE program path.
 runtime::MeasureInput make_te_measure_input(
     std::shared_ptr<TeKernelData> data, const runtime::Workload& workload,

@@ -502,11 +502,26 @@ void Scheduler::fill_slots_locked(std::vector<PendingEvent>& events) {
           runtime::MeasureResult result =
               pool_->measure_leased(lease, std::move(request));
           const double elapsed = watch.elapsed_seconds();
+          // Queue the completion before the slot frees: the fill loop
+          // handles every queued completion before it acquires a slot, so
+          // the job is told this trial before it is asked for the next.
+          // The lease leaves the job's kill targets at the same moment
+          // (the job stays live while this trial is in flight), so a
+          // cancel that starts from here on does not target the slot.
+          {
+            std::lock_guard<std::mutex> lock(mutex_);
+            jobs_.at(job_id)->leases.erase(dispatch);
+            completions_.push_back({dispatch, job_id, std::move(config),
+                                    std::move(result), elapsed});
+          }
+          cv_.notify_all();
+          // release() may shut down a slot that resize() retired; the
+          // scheduler joins this thread only once it is posted finished,
+          // so it never waits on that shutdown under mutex_.
           pool_->release(std::move(lease));
           {
             std::lock_guard<std::mutex> lock(mutex_);
-            completions_.push_back({dispatch, job_id, std::move(config),
-                                    std::move(result), elapsed});
+            finished_dispatches_.push_back(dispatch);
           }
           cv_.notify_all();
         }));
@@ -515,20 +530,12 @@ void Scheduler::fill_slots_locked(std::vector<PendingEvent>& events) {
 
 void Scheduler::handle_completion_locked(Completion completion,
                                          std::vector<PendingEvent>& events) {
-  // Reap the dispatch thread (it has already posted this completion, so
-  // the join is immediate).
-  auto thread_it = dispatch_threads_.find(completion.dispatch);
-  if (thread_it != dispatch_threads_.end()) {
-    thread_it->second.join();
-    dispatch_threads_.erase(thread_it);
-  }
   auto it = jobs_.find(completion.job);
   TVMBO_CHECK(it != jobs_.end())
       << "completion for unknown job " << completion.job;
   Job& job = *it->second;
   job.in_flight -= 1;
   job.slot_seconds += completion.elapsed_s;
-  job.leases.erase(completion.dispatch);
 
   if (job.state == JobState::kCancelled) {
     // The trial raced the cancel (often SIGKILLed mid-run): drop it
@@ -628,6 +635,14 @@ void Scheduler::run() {
   std::unique_lock<std::mutex> lock(mutex_);
   std::vector<PendingEvent> events;
   for (;;) {
+    // Join dispatch threads that have released their slot (each posts
+    // itself last, so the join is immediate).
+    for (const std::uint64_t dispatch : finished_dispatches_) {
+      auto thread_it = dispatch_threads_.find(dispatch);
+      thread_it->second.join();
+      dispatch_threads_.erase(thread_it);
+    }
+    finished_dispatches_.clear();
     while (!completions_.empty()) {
       Completion completion = std::move(completions_.front());
       completions_.pop_front();

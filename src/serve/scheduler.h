@@ -14,6 +14,12 @@
 //                  configuration, and dispatch the trial on a leased
 //                  slot in its own thread
 //
+// A dispatch thread queues its completion before it releases its slot,
+// and the fill loop handles every queued completion before it acquires a
+// slot, so a job is told each trial before it is asked for the next. The
+// thread then posts itself finished and the scheduler thread joins it;
+// nothing under the scheduler mutex waits on a slot's release.
+//
 // Because the proposal stream of a session depends only on (space, seed,
 // tell history), a single job on a one-worker daemon reproduces the
 // `--runner proc --async` trajectory bit-identically: both drive strict
@@ -199,6 +205,8 @@ class Scheduler {
   std::map<std::uint64_t, JobStatus> retired_;
   std::deque<Completion> completions_;
   std::map<std::uint64_t, std::thread> dispatch_threads_;
+  /// Dispatch threads that have released their slot and are ready to join.
+  std::vector<std::uint64_t> finished_dispatches_;
   std::uint64_t next_job_id_ = 1;
   std::uint64_t next_dispatch_id_ = 1;
   bool draining_ = false;

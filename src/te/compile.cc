@@ -105,15 +105,19 @@ struct Affine3 {
            t2.coeff * r[t2.slot];
   }
 };
-/// Fixed-array fallback for longer forms.
+/// Fixed-array fallback for longer forms (and for strided loops' start
+/// offsets): the first four terms are evaluated straight-line, unused ones
+/// being zero terms on slot 0.
 constexpr std::size_t kMaxFixedTerms = 8;
 struct AffineN {
-  std::int64_t c;
-  std::size_t n;
-  std::array<SlotTerm, kMaxFixedTerms> t;
+  std::int64_t c = 0;
+  std::size_t n = 0;
+  std::array<SlotTerm, kMaxFixedTerms> t{};
   std::int64_t operator()(Regs r) const {
-    std::int64_t v = c;
-    for (std::size_t i = 0; i < n; ++i) v += t[i].coeff * r[t[i].slot];
+    std::int64_t v = c + t[0].coeff * r[t[0].slot] +
+                     t[1].coeff * r[t[1].slot] + t[2].coeff * r[t[2].slot] +
+                     t[3].coeff * r[t[3].slot];
+    for (std::size_t i = 4; i < n; ++i) v += t[i].coeff * r[t[i].slot];
     return v;
   }
 };
@@ -242,6 +246,99 @@ auto with_compare(CmpOp op, const Visit& visit) {
   return visit([](I, I) { return false; });
 }
 
+/// An affine form split along one loop index i: `start(r) + step·i`, where
+/// `start` leaves the loop's own register out.
+struct Stepped {
+  AffineN start{};
+  std::int64_t step = 0;
+};
+
+/// Splits `form` along the loop in `slot`. Registers above `slot` belong
+/// to extent-1 loops between that loop and its store, whose index is
+/// always 0, so their terms drop out. nullopt when the remaining terms do
+/// not fit the fixed array.
+std::optional<Stepped> split_along(const SlotForm& form, std::size_t slot) {
+  Stepped out;
+  out.start.c = form.constant;
+  for (const SlotTerm& t : form.terms) {
+    if (t.slot == slot) {
+      out.step = t.coeff;
+    } else if (t.slot > slot) {
+      continue;
+    } else if (out.start.n == kMaxFixedTerms) {
+      return std::nullopt;
+    } else {
+      out.start.t[out.start.n++] = t;
+    }
+  }
+  return out;
+}
+
+/// floor(a / b) for b > 0; b = 1, the usual guard coefficient, skips the
+/// division.
+std::int64_t floor_div_pos(std::int64_t a, std::int64_t b) {
+  if (b == 1) return a;
+  const std::int64_t q = a / b;
+  return (a % b != 0 && a < 0) ? q - 1 : q;
+}
+
+/// The iterations [lo, hi) of a loop over [0, extent) that pass a guard
+/// `∧ h_k(r) + c_k·i >= 0`, solved once per loop entry.
+struct IterationRange {
+  std::int64_t extent = 0;
+  std::size_t n = 0;
+  std::array<Stepped, kMaxConjuncts> h{};
+
+  std::pair<std::int64_t, std::int64_t> operator()(Regs r) const {
+    std::int64_t lo = 0;
+    std::int64_t hi = extent;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::int64_t h0 = h[k].start(r);
+      const std::int64_t c = h[k].step;
+      if (c > 0) {
+        lo = std::max(lo, -floor_div_pos(h0, c));
+      } else if (c < 0) {
+        hi = std::min(hi, floor_div_pos(h0, -c) + 1);
+      } else if (h0 < 0) {
+        return {0, 0};
+      }
+    }
+    return {lo, hi};
+  }
+};
+
+/// A serial loop whose body is one store, run as one loop: each access's
+/// offset is computed once per entry and then stepped by its coefficient.
+/// `body` reads and writes memory through the current offsets (element 0
+/// is the destination) exactly as the per-iteration closures would.
+template <std::size_t N, class Body>
+struct StridedLoop {
+  IterationRange range;
+  std::array<Stepped, N> access;
+  Body body;
+
+  void operator()(Regs r) const {
+    const auto [lo, hi] = range(r);
+    if (lo >= hi) return;
+    std::array<std::int64_t, N> offset;
+    std::array<std::int64_t, N> step;
+    for (std::size_t k = 0; k < N; ++k) {
+      step[k] = access[k].step;
+      offset[k] = access[k].start(r) + lo * step[k];
+    }
+    for (std::int64_t i = lo; i < hi; ++i) {
+      body(offset);
+      for (std::size_t k = 0; k < N; ++k) offset[k] += step[k];
+    }
+  }
+};
+
+template <std::size_t N, class Body>
+FStmt strided_loop(const IterationRange& range,
+                   const std::array<Stepped, N>& access, Body body) {
+  return StridedLoop<N, Body>{range, access, std::move(body)};
+}
+
 template <class Condition>
 FStmt if_stmt(Condition condition, FStmt then_case, FStmt else_case) {
   if (else_case) {
@@ -271,6 +368,8 @@ struct Compiler {
   std::vector<std::pair<const TensorNode*, std::vector<std::int64_t>>>
       strides;
   std::vector<std::shared_ptr<runtime::NDArray>> owned;
+  /// Loops compiled by compile_strided.
+  std::size_t strided_loops = 0;
 
   std::size_t slot_of(const VarNode* var) const {
     for (std::size_t i = 0; i < registers.size(); ++i) {
@@ -328,6 +427,7 @@ struct Compiler {
   std::optional<Load3> fold_load(const ExprNode* expr);
   FExpr compile_value(const ExprNode* expr);
   FStmt compile_store(const StoreNode* node);
+  std::optional<FStmt> compile_strided(const ForNode* loop, std::size_t slot);
   FStmt compile_stmt(const StmtNode* stmt);
 };
 
@@ -575,16 +675,140 @@ FStmt Compiler::compile_store(const StoreNode* node) {
   });
 }
 
+/// Compiles a loop whose body is one store, optionally under a guard of
+/// affine conjuncts without an else branch and inside loops of extent 1,
+/// into one StridedLoop when the store has one of the shapes
+///   T[f] = T[f] op (X[g] op2 Y[h]),   T[f] = T[f] op X[g],
+///   T[f] = X[g],                      T[f] = const
+/// and every offset folds. nullopt otherwise.
+std::optional<FStmt> Compiler::compile_strided(const ForNode* loop,
+                                               std::size_t slot) {
+  IterationRange range;
+  range.extent = loop->extent;
+  const StmtNode* body = loop->body.get();
+  // Extent-1 loops (a split by 1) run their body once at index 0: bind
+  // their registers for folding (the caller unbinds them) and let
+  // split_along drop their terms.
+  while (body->kind() == StmtKind::kFor &&
+         static_cast<const ForNode*>(body)->extent == 1) {
+    const auto* inner = static_cast<const ForNode*>(body);
+    bind_var(inner->var.get());
+    body = inner->body.get();
+  }
+  if (body->kind() == StmtKind::kIfThenElse) {
+    const auto* node = static_cast<const IfThenElseNode*>(body);
+    if (node->else_case) return std::nullopt;
+    std::vector<analysis::AffineForm> constraints;
+    if (!analysis::collect_constraints_checked(node->condition,
+                                               constraints) ||
+        constraints.size() > kMaxConjuncts) {
+      return std::nullopt;
+    }
+    for (const analysis::AffineForm& constraint : constraints) {
+      const std::optional<Stepped> h = split_along(to_slots(constraint), slot);
+      if (!h) return std::nullopt;
+      range.h[range.n++] = *h;
+    }
+    body = node->then_case.get();
+  }
+  if (body->kind() != StmtKind::kStore) return std::nullopt;
+  const auto* store = static_cast<const StoreNode*>(body);
+  double* t = base_of(store->tensor.get());
+  const std::optional<SlotForm> dest_form =
+      compile_offset(store->tensor.get(), store->indices).folded;
+  if (!dest_form) return std::nullopt;
+  const std::optional<Stepped> dest = split_along(*dest_form, slot);
+  if (!dest) return std::nullopt;
+  // A load as its base and stepped offset, when the offset folds.
+  auto load = [&](const ExprNode* expr)
+      -> std::optional<std::pair<const double*, Stepped>> {
+    if (expr->kind() != ExprKind::kTensorAccess) return std::nullopt;
+    const auto* node = static_cast<const TensorAccessNode*>(expr);
+    const std::optional<SlotForm> form =
+        compile_offset(node->tensor.get(), node->indices).folded;
+    if (!form) return std::nullopt;
+    const std::optional<Stepped> offset = split_along(*form, slot);
+    if (!offset) return std::nullopt;
+    return std::pair{base_of(node->tensor.get()), *offset};
+  };
+
+  const ExprNode* value = store->value.get();
+  switch (value->kind()) {
+    case ExprKind::kIntImm:
+    case ExprKind::kFloatImm: {
+      const double c =
+          value->kind() == ExprKind::kIntImm
+              ? static_cast<double>(
+                    static_cast<const IntImmNode*>(value)->value)
+              : static_cast<const FloatImmNode*>(value)->value;
+      return strided_loop(range, std::array{*dest},
+                          [t, c](const auto& o) { t[o[0]] = c; });
+    }
+    case ExprKind::kTensorAccess: {
+      const auto x = load(value);
+      if (!x) return std::nullopt;
+      return strided_loop(
+          range, std::array{*dest, x->second},
+          [t, x = x->first](const auto& o) { t[o[0]] = x[o[1]]; });
+    }
+    case ExprKind::kBinary:
+      break;
+    default:
+      return std::nullopt;
+  }
+  // Read-modify-write: the left operand reads the destination element.
+  const auto* binary = static_cast<const BinaryNode*>(value);
+  if (binary->a->kind() != ExprKind::kTensorAccess) return std::nullopt;
+  const auto* self = static_cast<const TensorAccessNode*>(binary->a.get());
+  if (self->tensor.get() != store->tensor.get() ||
+      compile_offset(self->tensor.get(), self->indices).folded != dest_form) {
+    return std::nullopt;
+  }
+  const ExprNode* rhs = binary->b.get();
+  if (const auto x = load(rhs)) {
+    return with_value_op(binary->op, [&](auto op) {
+      return strided_loop(range, std::array{*dest, x->second},
+                          [t, x = x->first, op](const auto& o) {
+                            t[o[0]] = op(t[o[0]], x[o[1]]);
+                          });
+    });
+  }
+  if (rhs->kind() != ExprKind::kBinary) return std::nullopt;
+  const auto* product = static_cast<const BinaryNode*>(rhs);
+  const auto x = load(product->a.get());
+  const auto y = load(product->b.get());
+  if (!x || !y) return std::nullopt;
+  return with_value_op(binary->op, [&](auto op) {
+    return with_value_op(product->op, [&](auto op2) {
+      return strided_loop(
+          range, std::array{*dest, x->second, y->second},
+          [t, x = x->first, y = y->first, op, op2](const auto& o) {
+            t[o[0]] = op(t[o[0]], op2(x[o[1]], y[o[2]]));
+          });
+    });
+  });
+}
+
 FStmt Compiler::compile_stmt(const StmtNode* stmt) {
   switch (stmt->kind()) {
     case StmtKind::kFor: {
       const auto* node = static_cast<const ForNode*>(stmt);
       const std::size_t slot = bind_var(node->var.get());
+      const std::int64_t extent = node->extent;
+      const bool dispatches = node->for_kind == ForKind::kParallel &&
+                              parallel_threads != 1 && extent > 1;
+      if (!dispatches) {
+        std::optional<FStmt> strided = compile_strided(node, slot);
+        registers.resize(slot + 1);
+        if (strided) {
+          registers.pop_back();
+          ++strided_loops;
+          return *std::move(strided);
+        }
+      }
       FStmt body = compile_stmt(node->body.get());
       registers.pop_back();
-      const std::int64_t extent = node->extent;
-      if (node->for_kind == ForKind::kParallel && parallel_threads != 1 &&
-          extent > 1) {
+      if (dispatches) {
         const std::size_t slots = scratch_slots;
         const int threads = parallel_threads;
         return [slot, extent, body, slots, threads](Regs r) {
@@ -680,6 +904,7 @@ CompiledProgram CompiledProgram::compile(
   compiler.parallel_threads = options.parallel_threads;
   program.entry_ = compiler.compile_stmt(stmt.get());
   program.owned_ = std::move(compiler.owned);
+  program.num_strided_loops_ = compiler.strided_loops;
   return program;
 }
 

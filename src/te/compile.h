@@ -13,9 +13,29 @@
 //     in, and each guard compare — folds into one `c + Σ k·r[slot]` node;
 //     non-affine integer ops (floordiv, mod, min, max, select, var×var)
 //     stay closures whose operands re-enter the folded path,
+//   * every loop that runs serially (all but a kParallel loop dispatched
+//     on the pool) whose body is one store, optionally under a guard of
+//     at most four affine conjuncts and no else branch and under loops of
+//     extent 1 (index 0), becomes one strided loop when the store is
+//       T[f] = T[f] op (X[g] op2 Y[h]),  T[f] = T[f] op X[g],
+//       T[f] = X[g]  or  T[f] = const
+//     and every offset folds. Each offset is split into `start(r) + s·i`
+//     along the loop index i; `start` is computed once per loop entry and
+//     the offset then steps by s each iteration (s = 0, e.g. a reduction
+//     along the loop, is fine). Each guard conjunct `h0(r) + c·i >= 0`
+//     narrows the iteration interval [lo, hi) once per entry: c > 0
+//     raises lo to −floor(h0/c), c < 0 lowers hi to floor(h0/−c) + 1, and
+//     c = 0 with h0 < 0 empties it. Memory is touched only by iterations
+//     in [lo, hi), and nothing is computed for an empty interval,
 //   * every other expression/statement becomes one std::function node —
 //     no kind dispatch per visit. Float operations and their order match
-//     the interpreter, so results are bit-identical to it.
+//     the interpreter, so results are bit-identical to it. The strided
+//     loop keeps that by construction: it runs the same operations in the
+//     same order on exactly the iterations whose guard holds, and each
+//     iteration reads every operand from memory (no restrict, nothing
+//     held in registers), so a store that a later iteration reads through
+//     the same base — lu updates A[i,*] while reading A[k,*] of the same
+//     matrix — is seen as the interpreter sees it.
 //
 // The compiled program is reusable: run() executes against the buffers
 // captured at compile time. Only float64 buffers are supported.
@@ -56,11 +76,15 @@ class CompiledProgram {
   /// Number of registers (loop variables) the program uses.
   std::size_t num_registers() const { return num_registers_; }
 
+  /// Number of loops compiled to the strided form (see the file comment).
+  std::size_t num_strided_loops() const { return num_strided_loops_; }
+
  private:
   CompiledProgram() = default;
 
   std::function<void(std::int64_t*)> entry_;
   std::size_t num_registers_ = 0;
+  std::size_t num_strided_loops_ = 0;
   /// Buffers owned by the program (Realize-allocated intermediates).
   std::vector<std::shared_ptr<runtime::NDArray>> owned_;
 };

@@ -549,6 +549,37 @@ TEST(AnalysisScreen, TrajectoryIsIdenticalOnLegalSpaces) {
   }
 }
 
+TEST(AnalysisScreen, ScreenedTrialLowersOnce) {
+  // Lowering mints fresh loop variables (split axes), so the var-id
+  // counter shows whether a phase lowered. The screen lowers; the prepare
+  // that follows takes the screened program instead of lowering again. A
+  // second prepare (a retry) and an unscreened prepare lower themselves.
+  const kernels::Dataset dataset = kernels::Dataset::kMini;
+  const auto data =
+      kernels::make_te_kernel_data("lu", kernels::polybench_dims("lu", dataset));
+  const runtime::Workload workload = kernels::make_workload("lu", dataset);
+  auto vars_minted = [](const std::function<void()>& phase) {
+    const std::uint64_t before = te::make_var("probe")->id;
+    phase();
+    return te::make_var("probe")->id - before - 1;
+  };
+  const std::vector<std::int64_t> tiles = {4, 2};
+  const runtime::MeasureInput screened = kernels::make_te_measure_input(
+      data, workload, tiles, runtime::ExecBackend::kClosure);
+  std::string violation = "not screened";
+  EXPECT_GT(vars_minted([&] { violation = screened.static_check(); }), 0u);
+  EXPECT_EQ(violation, "");
+  EXPECT_EQ(vars_minted(screened.prepare), 0u);
+  screened.run();
+  EXPECT_GT(vars_minted(screened.prepare), 0u);
+  screened.run();
+
+  const runtime::MeasureInput unscreened = kernels::make_te_measure_input(
+      data, workload, tiles, runtime::ExecBackend::kClosure);
+  EXPECT_GT(vars_minted(unscreened.prepare), 0u);
+  unscreened.run();
+}
+
 // --- fuzz: analyzer-accepted configs agree across execution tiers ------------
 
 void expect_bits_equal(const runtime::NDArray& a, const runtime::NDArray& b,

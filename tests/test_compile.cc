@@ -4,11 +4,15 @@
 
 #include <cstring>
 
+#include "common/rng.h"
+#include "kernels/polybench.h"
 #include "kernels/reference.h"
 #include "kernels/te_kernels.h"
+#include "kernels/te_programs.h"
 #include "te/compile.h"
 #include "te/interp.h"
 #include "te/loop_transform.h"
+#include "te/printer.h"
 
 namespace tvmbo::te {
 namespace {
@@ -206,9 +210,10 @@ NDArray filled(std::vector<std::int64_t> shape, double seed) {
 
 /// Runs `program` on the interpreter and on the closure compiler, each
 /// from its own copy of `arrays`, and expects every buffer memcmp-equal.
-void expect_bit_identical(const Stmt& program,
-                          const std::vector<std::pair<Tensor, NDArray>>& arrays,
-                          const CompileOptions& options = {}) {
+/// Returns the compiled program's strided-loop count.
+std::size_t expect_bit_identical(
+    const Stmt& program, const std::vector<std::pair<Tensor, NDArray>>& arrays,
+    const CompileOptions& options = {}) {
   std::vector<NDArray> via_interp, via_compile;
   for (const auto& [tensor, array] : arrays) {
     via_interp.push_back(array);
@@ -221,14 +226,18 @@ void expect_bit_identical(const Stmt& program,
     bindings.emplace_back(arrays[i].first, &via_compile[i]);
   }
   interp.run(program);
-  CompiledProgram::compile(program, bindings, options).run();
+  const CompiledProgram compiled =
+      CompiledProgram::compile(program, bindings, options);
+  compiled.run();
   for (std::size_t i = 0; i < arrays.size(); ++i) {
     const std::span<const double> a = via_interp[i].f64();
     const std::span<const double> b = via_compile[i].f64();
-    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(a.size(), b.size());
+    if (a.size() != b.size()) continue;
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
         << "buffer " << arrays[i].first->name;
   }
+  return compiled.num_strided_loops();
 }
 
 TEST(Compile, AffineCancellingCoefficients) {
@@ -410,6 +419,285 @@ TEST(Compile, AffineParallelLoopPrivateRegisters) {
                         {c, filled({2, n, m}, 3.0)}},
                        options);
 }
+
+
+// --- strided inner loops ------------------------------------------------------
+// A serial innermost loop whose body is one store (optionally under an
+// affine guard without else) runs as one loop that steps each access's
+// offset; the guard becomes an iteration interval. Every case must stay
+// byte-identical to the interpreter and must actually take that path.
+
+/// The strided store shapes, over u in [0,2), v in [0,3), i in [0,5) and
+/// the inner loop j in [0,7). Offsets mix positive, negative and zero
+/// coefficients of j.
+std::vector<std::pair<std::string, Stmt>> strided_shapes(
+    const Tensor& o, const Tensor& a, const Tensor& b, const Var& u,
+    const Var& v, const Var& i, const Var& j) {
+  return {
+      {"const", make_store(o, {u, v, i, j + imm(1)}, make_float(2.5))},
+      {"int const", make_store(o, {u, v, i, imm(8) - j}, imm(-3))},
+      {"copy", make_store(o, {u, v, i, imm(8) - j},
+                          access(a, {i + v, imm(6) - j}))},
+      {"rmw load",
+       make_store(o, {u, v, i, j},
+                  access(o, {u, v, i, j}) /
+                      access(a, {i + v, j - j + imm(2)}))},
+      {"rmw product",
+       make_store(o, {u, v, i, imm(2) * j - j},
+                  access(o, {u, v, i, j}) -
+                      access(a, {i, j}) * access(b, {imm(6) - j, v}))},
+      // Destination step 0: each iteration reads the previous one's sum.
+      {"reduction",
+       make_store(o, {u, v, i, imm(0)},
+                  access(o, {u, v, i, imm(0)}) +
+                      access(a, {i, j}) * access(b, {j, v}))},
+      // A negative stride over elements the loop itself writes.
+      {"rmw reversed",
+       make_store(o, {u, v, i, imm(8) - j},
+                  access(o, {u, v, i, imm(8) - j}) *
+                      access(o, {u, v, i, j}))},
+  };
+}
+
+TEST(Compile, StridedShapesUnderGuards) {
+  Tensor o = placeholder({2, 3, 5, 9}, "O");
+  Tensor a = placeholder({8, 7}, "A");
+  Tensor b = placeholder({7, 3}, "B");
+  Var u = make_var("u"), v = make_var("v"), i = make_var("i"),
+      j = make_var("j");
+  const std::vector<std::pair<std::string, Expr>> guards = {
+      {"none", Expr()},
+      // c > 0: j - i + 1 >= 0.
+      {"one conjunct", gt(j, i - imm(2))},
+      // 3j - 4 >= 0 (lo = 2) and 10 - i - 2j >= 0 (hi by floor division).
+      {"two conjuncts",
+       logical_and(ge(j * imm(3), imm(4)), lt(j * imm(2) + i, imm(11)))},
+      // A j-free conjunct (c = 0) empties the i = 0 entries.
+      {"three conjuncts",
+       logical_and(ge(i, imm(1)), logical_and(le(j, u + v + imm(2)),
+                                              ge(j + v, imm(1))))},
+      // The last conjunct has four terms: i + 2v + 3 - j - u >= 0.
+      {"four conjuncts",
+       logical_and(logical_and(ge(j, imm(1)), le(j, imm(5))),
+                   logical_and(le(j + u, i + v * imm(2) + imm(3)),
+                               gt(i * imm(2) + imm(7), j)))},
+      // Two conjuncts from one equality; empty when i + v is odd.
+      {"equality", eq(j * imm(2), i + v)},
+  };
+  for (const auto& [guard_name, guard] : guards) {
+    for (const auto& [shape_name, store] :
+         strided_shapes(o, a, b, u, v, i, j)) {
+      SCOPED_TRACE(shape_name + " / " + guard_name);
+      Stmt body = guard ? make_if(guard, store) : store;
+      Stmt program = make_for(
+          u, 2, ForKind::kSerial,
+          make_for(v, 3, ForKind::kSerial,
+                   make_for(i, 5, ForKind::kSerial,
+                            make_for(j, 7, ForKind::kSerial, body))));
+      EXPECT_EQ(expect_bit_identical(program,
+                                     {{o, filled({2, 3, 5, 9}, -0.5)},
+                                      {a, filled({8, 7}, 1.25)},
+                                      {b, filled({7, 3}, 0.75)}}),
+                1u);
+    }
+  }
+}
+
+TEST(Compile, StridedGuardsThatNeverPass) {
+  Tensor o = placeholder({4, 6}, "O");
+  Tensor a = placeholder({4, 6}, "A");
+  Var i = make_var("i"), j = make_var("j");
+  Stmt store = make_store(o, {i, j}, access(o, {i, j}) + access(a, {i, j}));
+  for (const Expr& guard :
+       {lt(j, imm(0)),                             // hi = 0
+        gt(i, imm(7)),                             // c = 0, h0 < 0
+        gt(j - j, imm(0)),                         // cancels to -1 >= 0
+        logical_and(gt(j, imm(3)), lt(j, imm(4))),  // lo = hi = 4
+        logical_and(ge(j, i + imm(4)), le(j, i))}) {  // lo > hi
+    SCOPED_TRACE(to_string(guard));
+    Stmt program = make_for(i, 4, ForKind::kSerial,
+                            make_for(j, 6, ForKind::kSerial,
+                                     make_if(guard, store)));
+    EXPECT_EQ(expect_bit_identical(program, {{o, filled({4, 6}, 0.5)},
+                                             {a, filled({4, 6}, 1.5)}}),
+              1u);
+  }
+}
+
+TEST(Compile, StridedAliasedLuUpdates) {
+  // Unguarded lu: the pivot scale A[i,k] /= A[k,k] overwrites the divisor
+  // itself at i = k, and the update A[i,j] -= A[i,k]*A[k,j] overwrites
+  // A[i,k] at j = k and row k at i = k. Later iterations must read what
+  // the earlier ones stored, as the interpreter does.
+  const std::int64_t n = 6;
+  Tensor m = placeholder({n, n}, "A");
+  Var k = make_var("k"), i = make_var("i"), j = make_var("j");
+  Stmt scale = make_for(
+      i, n, ForKind::kSerial,
+      make_store(m, {i, k}, access(m, {i, k}) / access(m, {k, k})));
+  Stmt update = make_for(
+      i, n, ForKind::kSerial,
+      make_for(j, n, ForKind::kSerial,
+               make_store(m, {i, j},
+                          access(m, {i, j}) -
+                              access(m, {i, k}) * access(m, {k, j}))));
+  Stmt program = make_for(k, n, ForKind::kSerial, make_seq({scale, update}));
+  NDArray start = filled({n, n}, 3.0);
+  for (std::int64_t d = 0; d < n; ++d) start.f64()[d * (n + 1)] += 10.0;
+  EXPECT_EQ(expect_bit_identical(program, {{m, start}}), 2u);
+}
+
+TEST(Compile, StridedBodiesInsideParallelChunks) {
+  const std::int64_t n = 16, m = 10;
+  Tensor c = placeholder({n, m}, "C");
+  Tensor a = placeholder({n, m}, "A");
+  Var i = make_var("i"), j = make_var("j");
+  // The dispatched parallel i loop keeps its chunks; the inner j loops
+  // run strided on each chunk's private register file.
+  Stmt body = make_seq(
+      {make_for(j, m, ForKind::kSerial, make_store(c, {i, j}, imm(0))),
+       make_for(j, m, ForKind::kSerial,
+                make_if(logical_and(le(j, i), ge(j + i, imm(3))),
+                        make_store(c, {i, j},
+                                   access(c, {i, j}) +
+                                       access(a, {i, j}) *
+                                           access(a, {i, imm(m - 1) - j}))))});
+  Stmt program = make_for(i, n, ForKind::kParallel, body);
+  CompileOptions options;
+  options.parallel_threads = 4;
+  EXPECT_EQ(expect_bit_identical(program,
+                                 {{c, filled({n, m}, 0.0)},
+                                  {a, filled({n, m}, 0.5)}},
+                                 options),
+            2u);
+  // A dispatched parallel loop whose body is a store keeps its chunks.
+  Stmt flat = make_for(i, n, ForKind::kParallel,
+                       make_store(c, {i, imm(0)}, access(a, {i, imm(1)})));
+  EXPECT_EQ(expect_bit_identical(flat,
+                                 {{c, filled({n, m}, 0.0)},
+                                  {a, filled({n, m}, 0.5)}},
+                                 options),
+            0u);
+  // Undispatched (one thread), the same loop is strided.
+  EXPECT_EQ(expect_bit_identical(flat, {{c, filled({n, m}, 0.0)},
+                                        {a, filled({n, m}, 0.5)}}),
+            1u);
+}
+
+TEST(Compile, StridedThroughExtentOneLoops) {
+  // A split by 1 leaves extent-1 loops between a loop and its store; their
+  // index is always 0, so the loop above them still runs strided.
+  Tensor o = placeholder({5, 8}, "O");
+  Tensor a = placeholder({5, 8}, "A");
+  Var i = make_var("i"), p = make_var("p"), j = make_var("j"),
+      q = make_var("q");
+  Stmt store = make_if(
+      logical_and(gt(i + p, imm(1)), le(j * imm(2) + q, i + imm(8))),
+      make_store(o, {i + p, j + q},
+                 access(o, {i + p, j + q}) -
+                     access(a, {i, j + p}) * access(a, {p + q, j})));
+  Stmt inner = make_for(j, 8, ForKind::kSerial,
+                        make_for(q, 1, ForKind::kSerial, store));
+  // A closure nest first leaves non-zero values in the same four
+  // registers, which the strided loop must not read for p and q.
+  Var w = make_var("w"), x = make_var("x"), y = make_var("y"),
+      z = make_var("z");
+  Stmt nest = make_for(
+      w, 2, ForKind::kSerial,
+      make_for(x, 2, ForKind::kSerial,
+               make_for(y, 2, ForKind::kSerial,
+                        make_for(z, 3, ForKind::kSerial,
+                                 make_store(o, {w + x, y + z},
+                                            access(a, {w, z}) *
+                                                make_float(2.0))))));
+  for (ForKind kind : {ForKind::kSerial, ForKind::kParallel}) {
+    Stmt program = make_seq(
+        {nest, make_for(i, 5, ForKind::kSerial, make_for(p, 1, kind, inner))});
+    EXPECT_EQ(expect_bit_identical(program, {{o, filled({5, 8}, 0.5)},
+                                             {a, filled({5, 8}, -1.5)}}),
+              1u);
+  }
+}
+
+TEST(Compile, StridedFormSkipsOtherShapes) {
+  Tensor o = placeholder({6}, "O");
+  Tensor a = placeholder({6}, "A");
+  Var i = make_var("i");
+  Stmt store = make_store(o, {i}, access(o, {i}) + access(a, {i}));
+  for (const Stmt& body :
+       {make_if(lt(i, imm(3)), store,
+                make_store(o, {i}, make_float(1.0))),          // else branch
+        make_if(ne(i, imm(2)), store),                         // != guard
+        make_store(o, {i}, access(a, {i}) + access(o, {i})),   // not RMW
+        make_store(o, {i}, access(o, {i}) + access(a, {i}) *
+                                              make_float(2.0)),
+        make_store(o, {i}, sqrt_expr(access(a, {i}))),
+        make_store(o, {floor_mod(i + imm(1), imm(6))}, access(a, {i})),
+        make_seq({store, store})}) {
+    SCOPED_TRACE(to_string(body));
+    EXPECT_EQ(expect_bit_identical(make_for(i, 6, ForKind::kSerial, body),
+                                   {{o, filled({6}, 0.5)},
+                                    {a, filled({6}, -2.0)}}),
+              0u);
+  }
+}
+
+TEST(Compile, StridedLoopsInServeKernels) {
+  // The innermost loops of the serve-mix mini kernels: init nests, the
+  // guarded MACs, lu/cholesky's pivot scale and trailing update
+  // (cholesky's carries a four-term conjunct). cholesky's sqrt stays a
+  // closure.
+  // Tiles of 1 leave extent-1 inner loops, which the loop above runs
+  // through.
+  const std::vector<std::pair<std::string, std::vector<std::int64_t>>> cases =
+      {{"gemm", {4, 3}},     {"gemm", {4, 1}}, {"lu", {4, 2}},
+       {"lu", {1, 1}},       {"cholesky", {4, 2}},
+       {"3mm", {4, 4, 4, 4, 4, 4}}};
+  const std::vector<std::size_t> expected = {2, 2, 2, 2, 2, 6};
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto& [kernel, tiles] = cases[c];
+    SCOPED_TRACE(kernel);
+    const auto data = kernels::make_te_kernel_data(
+        kernel, kernels::polybench_dims(kernel, kernels::Dataset::kMini));
+    kernels::TeProgramInstance instance(data, tiles);
+    EXPECT_EQ(CompiledProgram::compile(instance.stmt(), instance.bindings())
+                  .num_strided_loops(),
+              expected[c]);
+  }
+}
+
+class CompileServeMixSweep : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CompileServeMixSweep, ClosureBitIdenticalToInterpreter) {
+  // 200 sampled configs of the kernel's mini space (the serve-mix
+  // workload's); each distinct config runs once per tier.
+  const std::string kernel = GetParam();
+  const std::vector<std::int64_t> dims =
+      kernels::polybench_dims(kernel, kernels::Dataset::kMini);
+  const cs::ConfigurationSpace space = kernels::build_space(kernel, dims);
+  const auto data = kernels::make_te_kernel_data(kernel, dims);
+  Rng rng(19);
+  std::vector<std::vector<std::int64_t>> configs;
+  for (int trial = 0; trial < 200; ++trial) {
+    configs.push_back(space.values_int(space.sample(rng)));
+  }
+  std::sort(configs.begin(), configs.end());
+  configs.erase(std::unique(configs.begin(), configs.end()), configs.end());
+  for (const std::vector<std::int64_t>& tiles : configs) {
+    const NDArray oracle =
+        kernels::run_te_backend(data, tiles, runtime::ExecBackend::kInterp);
+    const NDArray closure =
+        kernels::run_te_backend(data, tiles, runtime::ExecBackend::kClosure);
+    const std::span<const double> a = oracle.f64();
+    const std::span<const double> b = closure.f64();
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << kernel << " tiles " << ::testing::PrintToString(tiles);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ServeMix, CompileServeMixSweep,
+                         ::testing::Values("gemm", "lu", "cholesky", "3mm"));
 
 }  // namespace
 }  // namespace tvmbo::te
