@@ -312,6 +312,10 @@ WorkerPool::Worker* WorkerPool::acquire() {
 }
 
 void WorkerPool::release(Worker* worker) {
+  {
+    std::lock_guard<std::mutex> pid_lock(pid_mutex_);
+    worker->lease_generation += 1;
+  }
   bool retired = false;
   {
     std::lock_guard<std::mutex> lock(free_mutex_);
@@ -551,6 +555,7 @@ std::optional<WorkerPool::Lease> WorkerPool::try_acquire() {
   Lease lease;
   lease.worker_id = pick->id;
   lease.worker = pick;
+  lease.generation = pick->lease_generation;
   return lease;
 }
 
@@ -558,14 +563,19 @@ runtime::MeasureResult WorkerPool::measure_leased(Lease& lease,
                                                   MeasureRequest request) {
   TVMBO_CHECK(lease.worker != nullptr) << "measure on an empty lease";
   request.trial = next_trial_.fetch_add(1);
+  runtime::MeasureResult result;
   try {
-    return measure_on(*lease.worker, request);
+    result = measure_on(*lease.worker, request);
   } catch (const std::exception& e) {
-    runtime::MeasureResult result;
+    result = runtime::MeasureResult();
     result.valid = false;
     result.error = std::string("worker pool error: ") + e.what();
-    return result;
   }
+  // The trial is over: copies of the lease taken before it go stale, so
+  // a late kill_leased() cannot hit the slot's next trial.
+  std::lock_guard<std::mutex> pid_lock(pid_mutex_);
+  lease.generation = ++lease.worker->lease_generation;
+  return result;
 }
 
 void WorkerPool::release(Lease lease) {
@@ -578,7 +588,9 @@ void WorkerPool::kill_leased(const Lease& lease) {
   std::lock_guard<std::mutex> pid_lock(pid_mutex_);
   // Under pid_mutex_ the pid cannot be reaped-and-recycled concurrently:
   // collect_exit() clears it and spawn() installs the next one only
-  // under this same lock.
+  // under this same lock. Likewise the slot cannot move on to another
+  // trial between the generation check and the kill.
+  if (lease.generation != lease.worker->lease_generation) return;
   if (lease.worker->pid >= 0) {
     kills_.fetch_add(1);
     Json event = worker_event("worker_kill", *lease.worker);

@@ -86,12 +86,16 @@ class WorkerPool {
   /// measure_leased() before giving it back. Leases let an external
   /// scheduler (tvmbo_serve) do its own slot accounting — decide *which*
   /// job gets a freed slot — instead of the pool's FIFO measure() path.
+  /// A copy of a lease targets kill_leased() at the trial it was copied
+  /// before: the slot's lease generation moves on when a leased trial ends
+  /// and when the slot is released.
   struct Lease {
     int worker_id = -1;
 
    private:
     friend class WorkerPool;
     Worker* worker = nullptr;
+    std::uint64_t generation = 0;
   };
 
   /// Spawns the full fleet eagerly; throws CheckError when the worker
@@ -128,8 +132,10 @@ class WorkerPool {
   /// *different* thread's lease — e.g. the serve scheduler cancelling a
   /// job whose trial is mid-flight). The dispatching thread sees EOF,
   /// reports an invalid "worker crashed" result, and respawns the slot —
-  /// the ticket is never stranded. Safe against concurrent respawn: the
-  /// pid read and the kill happen under the pool's pid lock.
+  /// the ticket is never stranded. A stale lease (its trial has ended or
+  /// the slot was released, perhaps to another holder) kills nothing.
+  /// Safe against concurrent respawn: the generation check, the pid read
+  /// and the kill happen under the pool's pid lock.
   void kill_leased(const Lease& lease);
 
   /// Elastically resizes the fleet to `n` active slots (n >= 1). Growth
@@ -152,6 +158,10 @@ class WorkerPool {
     int id = 0;
     pid_t pid = -1;
     int generation = 0;  ///< how many processes have filled this slot
+    /// Advanced when a leased trial ends and on release; kill_leased()
+    /// acts only on a lease that carries the current value. Written
+    /// under pid_mutex_ by the slot's holder.
+    std::uint64_t lease_generation = 0;
     Socket socket;
     int consecutive_failures = 0;
     /// Respawn-backoff deadline: while in the future the slot is parked
@@ -200,8 +210,9 @@ class WorkerPool {
   mutable std::mutex free_mutex_;
   std::condition_variable free_cv_;
   std::mutex spawn_mutex_;
-  /// Serializes worker.pid transitions (spawn / collect_exit) against
-  /// kill_leased() so a cancel can never SIGKILL a recycled pid.
+  /// Serializes worker.pid transitions (spawn / collect_exit) and lease
+  /// generation bumps against kill_leased() so a cancel can never SIGKILL
+  /// a recycled pid or a slot that has moved on to another trial.
   std::mutex pid_mutex_;
   std::atomic<std::uint64_t> next_trial_{0};
   std::atomic<std::size_t> spawns_{0};

@@ -1,6 +1,7 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <limits>
 #include <utility>
@@ -91,12 +92,14 @@ struct Scheduler::Job {
   }
 };
 
-struct Scheduler::Completion {
-  std::uint64_t dispatch = 0;
+/// One trial between fill and completion: queued on ready_ until a
+/// dispatcher takes it, then owned by that dispatcher.
+struct Scheduler::Dispatch {
+  std::uint64_t id = 0;
   std::uint64_t job = 0;
+  distd::WorkerPool::Lease lease;
+  distd::MeasureRequest request;
   cs::Configuration config;
-  runtime::MeasureResult result;
-  double elapsed_s = 0.0;
 };
 
 struct Scheduler::PendingEvent {
@@ -105,6 +108,10 @@ struct Scheduler::PendingEvent {
 };
 
 namespace {
+
+/// How often idle dispatchers retry a fill while every free slot is
+/// parked in respawn backoff (the backoff starts at 100 ms).
+constexpr std::chrono::milliseconds kCoolingRetry{20};
 
 /// Space for a "fault.*" kernel (crash/cancel testing behind the same
 /// serve path): P0's single candidate is benign or armed, so the whole
@@ -163,12 +170,16 @@ Scheduler::~Scheduler() {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  cv_.notify_all();
+  dispatch_cv_.notify_all();
+  emit_cv_.notify_all();
   scheduler_thread_.join();
-  // drain() guarantees no dispatch thread is left, but be defensive.
-  for (auto& [id, thread] : dispatch_threads_) {
-    if (thread.joinable()) thread.join();
-  }
+  // No dispatcher is spawned once stop_ is set.
+  for (std::thread& dispatcher : dispatchers_) dispatcher.join();
+}
+
+std::size_t Scheduler::dispatcher_count() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return dispatchers_.size();
 }
 
 void Scheduler::trace(Json event) const {
@@ -269,20 +280,20 @@ Scheduler::SubmitResult Scheduler::submit(const JobSpec& spec,
     event.set("priority", spec.priority);
     trace(std::move(event));
     jobs_.emplace(job->id, std::move(job));
+    fill_slots_locked();
+    wake_dispatchers_locked();
   }
-  cv_.notify_all();  // wake the fill loop
   return out;
 }
 
 bool Scheduler::cancel(std::uint64_t job_id, const std::string& reason) {
-  std::vector<PendingEvent> events;
   std::vector<distd::WorkerPool::Lease> to_kill;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = jobs_.find(job_id);
     if (it == jobs_.end() || it->second->terminal()) return false;
     Job& job = *it->second;
-    finish_cancel_locked(job, reason, events);
+    finish_cancel_locked(job, reason);
     for (const auto& [dispatch, lease] : job.leases) {
       to_kill.push_back(lease);
     }
@@ -290,19 +301,17 @@ bool Scheduler::cancel(std::uint64_t job_id, const std::string& reason) {
     // completion instead.
     if (job.in_flight == 0) retire_locked(it);
   }
-  // SIGKILL outside the lock: each dispatch thread comes back with the
-  // crash verdict, its completion is abandoned, and the respawned slot
-  // goes back to the pool for the other tenants.
+  // SIGKILL outside the lock: each dispatcher comes back with the crash
+  // verdict, its completion is abandoned, and the respawned slot goes
+  // back to the pool for the other tenants. A lease whose trial completed
+  // in the meantime is stale, and kill_leased leaves its slot alone.
   for (const distd::WorkerPool::Lease& lease : to_kill) {
     pool_->kill_leased(lease);
   }
-  emit(events);
-  cv_.notify_all();
   return true;
 }
 
-void Scheduler::finish_cancel_locked(Job& job, const std::string& reason,
-                                     std::vector<PendingEvent>& events) {
+void Scheduler::finish_cancel_locked(Job& job, const std::string& reason) {
   job.state = JobState::kCancelled;
   Json event = Json::object();
   event.set("event", "job_cancel");
@@ -315,9 +324,21 @@ void Scheduler::finish_cancel_locked(Job& job, const std::string& reason,
     Json frame = event_frame("job_cancel", job.id);
     frame.set("reason", reason);
     frame.set("completed", static_cast<std::int64_t>(job.completed));
-    events.push_back({job.sink, std::move(frame)});
+    post_locked(job.sink, std::move(frame));
   }
 }
+
+void Scheduler::post_locked(const EventSink& sink, Json frame) {
+  if (!sink) return;
+  outbox_events_.push_back({sink, std::move(frame)});
+  wake_emitter_locked();
+}
+
+void Scheduler::wake_emitter_locked() {
+  // A busy emitter looks at the outbox again before it waits.
+  if (!emitting_) emit_cv_.notify_one();
+}
+
 
 void Scheduler::retire_locked(JobMap::iterator it) {
   retired_.emplace(it->first, it->second->status());
@@ -347,36 +368,32 @@ std::vector<JobStatus> Scheduler::list() const {
 }
 
 void Scheduler::drain() {
-  std::vector<PendingEvent> events;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (draining_) {
-      // Second drainer (e.g. the destructor after an explicit drain):
-      // just wait for quiescence.
-      cv_.wait(lock, [&] {
-        return dispatch_threads_.empty() && completions_.empty();
-      });
-      return;
-    }
+  const auto nothing_dispatched = [&] {
+    return ready_.empty() && running_trials_ == 0 && releasing_slots_ == 0;
+  };
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (!draining_) {
     draining_ = true;
     Json event = Json::object();
     event.set("event", "serve_drain");
     trace(std::move(event));
-    // In-flight trials deliver normally (the scheduler thread keeps
-    // telling results while we wait); nothing new is proposed because
-    // fill_slots_locked checks draining_.
-    cv_.wait(lock, [&] {
-      return dispatch_threads_.empty() && completions_.empty();
-    });
+    // In-flight trials deliver normally (dispatchers keep telling results
+    // while we wait); nothing new is proposed because fill_slots_locked
+    // checks draining_.
+    idle_cv_.wait(lock, nothing_dispatched);
     // Nothing is in flight any more, so every job retires here.
     while (!jobs_.empty()) {
       Job& job = *jobs_.begin()->second;
-      if (!job.terminal()) finish_cancel_locked(job, "drain", events);
+      if (!job.terminal()) finish_cancel_locked(job, "drain");
       retire_locked(jobs_.begin());
     }
   }
-  emit(events);
-  cv_.notify_all();
+  // A second drainer (e.g. the destructor after an explicit drain) waits
+  // here too, until the emitter has written every frame.
+  idle_cv_.wait(lock, [&] {
+    return nothing_dispatched() && outbox_records_.empty() &&
+           outbox_events_.empty() && !emitting_;
+  });
 }
 
 Json Scheduler::lookup(const LookupSpec& spec) const {
@@ -444,13 +461,22 @@ Scheduler::Job* Scheduler::pick_job_locked() {
   return pick;
 }
 
-void Scheduler::fill_slots_locked(std::vector<PendingEvent>& events) {
+void Scheduler::fill_slots_locked() {
+  cooling_ = false;
   if (draining_ || stop_) return;
   for (;;) {
     Job* job = pick_job_locked();
     if (job == nullptr) break;
     std::optional<distd::WorkerPool::Lease> lease = pool_->try_acquire();
-    if (!lease.has_value()) break;  // every slot busy: wait for completions
+    if (!lease.has_value()) {
+      // Every slot is busy, or the free ones are parked in respawn
+      // backoff. With no trial left to complete, nothing would refill
+      // them: idle dispatchers retry until a slot is acquirable.
+      cooling_ =
+          ready_.empty() && running_trials_ == 0 && releasing_slots_ == 0;
+      if (cooling_) dispatch_cv_.notify_all();
+      break;
+    }
 
     std::optional<cs::Configuration> config = job->session->ask();
     if (!config.has_value()) {
@@ -467,75 +493,105 @@ void Scheduler::fill_slots_locked(std::vector<PendingEvent>& events) {
       event.set("job", job->id);
       event.set("tenant", job->spec.tenant);
       trace(std::move(event));
-      if (job->sink) {
-        events.push_back({job->sink, event_frame("job_start", job->id)});
-      }
+      post_locked(job->sink, event_frame("job_start", job->id));
     }
 
-    distd::MeasureRequest request;
-    request.workload = job->workload;
-    request.tiles = job->space->values_int(*config);
-    request.backend = job->backend;
-    request.jit = options_.jit;
-    request.option.repeat = job->spec.repeat;
-    request.option.timeout_s = job->spec.timeout_s;
-    request.seed = job->spec.seed;
-
-    const std::uint64_t dispatch = next_dispatch_id_++;
+    Dispatch dispatch;
+    dispatch.id = next_dispatch_id_++;
+    dispatch.job = job->id;
+    dispatch.request.workload = job->workload;
+    dispatch.request.tiles = job->space->values_int(*config);
+    dispatch.request.backend = job->backend;
+    dispatch.request.jit = options_.jit;
+    dispatch.request.option.repeat = job->spec.repeat;
+    dispatch.request.option.timeout_s = job->spec.timeout_s;
+    dispatch.request.seed = job->spec.seed;
+    dispatch.config = std::move(*config);
+    dispatch.lease = std::move(*lease);
     job->in_flight += 1;
-    job->leases.emplace(dispatch, *lease);
+    job->leases.emplace(dispatch.id, dispatch.lease);
     {
       Json event = Json::object();
       event.set("event", "job_dispatch");
       event.set("job", job->id);
-      event.set("dispatch", dispatch);
-      event.set("worker", lease->worker_id);
+      event.set("dispatch", dispatch.id);
+      event.set("worker", dispatch.lease.worker_id);
       trace(std::move(event));
     }
-    const std::uint64_t job_id = job->id;
-    dispatch_threads_.emplace(
-        dispatch,
-        std::thread([this, dispatch, job_id, lease = std::move(*lease),
-                     request = std::move(request),
-                     config = std::move(*config)]() mutable {
-          const Stopwatch watch;
-          runtime::MeasureResult result =
-              pool_->measure_leased(lease, std::move(request));
-          const double elapsed = watch.elapsed_seconds();
-          // Queue the completion before the slot frees: the fill loop
-          // handles every queued completion before it acquires a slot, so
-          // the job is told this trial before it is asked for the next.
-          // The lease leaves the job's kill targets at the same moment
-          // (the job stays live while this trial is in flight), so a
-          // cancel that starts from here on does not target the slot.
-          {
-            std::lock_guard<std::mutex> lock(mutex_);
-            jobs_.at(job_id)->leases.erase(dispatch);
-            completions_.push_back({dispatch, job_id, std::move(config),
-                                    std::move(result), elapsed});
-          }
-          cv_.notify_all();
-          // release() may shut down a slot that resize() retired; the
-          // scheduler joins this thread only once it is posted finished,
-          // so it never waits on that shutdown under mutex_.
-          pool_->release(std::move(lease));
-          {
-            std::lock_guard<std::mutex> lock(mutex_);
-            finished_dispatches_.push_back(dispatch);
-          }
-          cv_.notify_all();
-        }));
+    ready_.push_back(std::move(dispatch));
   }
 }
 
-void Scheduler::handle_completion_locked(Completion completion,
-                                         std::vector<PendingEvent>& events) {
-  auto it = jobs_.find(completion.job);
+void Scheduler::wake_dispatchers_locked() {
+  if (ready_.empty()) return;
+  // Dispatchers not running a trial (idle, or about to relock after a
+  // release) all look at ready_ next; spawn only the shortfall, so the
+  // fleet of dispatchers never outgrows the slots leased at once.
+  const std::size_t free = dispatchers_.size() - running_trials_;
+  for (std::size_t i = free; i < ready_.size(); ++i) {
+    dispatchers_.emplace_back([this] { dispatcher_main(); });
+  }
+  dispatch_cv_.notify_all();
+}
+
+void Scheduler::dispatcher_main() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    if (ready_.empty()) {
+      idle_cv_.notify_all();  // drain() may be waiting for the last trial
+      const auto dispatchable = [&] { return stop_ || !ready_.empty(); };
+      if (cooling_) {
+        if (!dispatch_cv_.wait_for(lock, kCoolingRetry, dispatchable)) {
+          fill_slots_locked();
+        }
+      } else {
+        dispatch_cv_.wait(lock, [&] { return dispatchable() || cooling_; });
+      }
+      if (ready_.empty()) {
+        if (stop_) return;
+        continue;
+      }
+    }
+    Dispatch dispatch = std::move(ready_.front());
+    ready_.pop_front();
+    running_trials_ += 1;
+    // Anything else a refill queued goes to the other dispatchers.
+    wake_dispatchers_locked();
+    lock.unlock();
+
+    const Stopwatch watch;
+    runtime::MeasureResult result =
+        pool_->measure_leased(dispatch.lease, std::move(dispatch.request));
+    const double elapsed_s = watch.elapsed_seconds();
+
+    lock.lock();
+    running_trials_ -= 1;
+    releasing_slots_ += 1;
+    // Told before the slot is released: the job cannot be asked again
+    // for this slot's successor trial until it has seen this result.
+    handle_completion_locked(dispatch, result, elapsed_s);
+    lock.unlock();
+    // release() may shut down a slot that resize() retired, so it runs
+    // outside mutex_.
+    pool_->release(std::move(dispatch.lease));
+    lock.lock();
+    releasing_slots_ -= 1;
+    fill_slots_locked();  // the loop top takes the first new dispatch
+  }
+}
+
+void Scheduler::handle_completion_locked(const Dispatch& dispatch,
+                                         const runtime::MeasureResult& measured,
+                                         double elapsed_s) {
+  auto it = jobs_.find(dispatch.job);
   TVMBO_CHECK(it != jobs_.end())
-      << "completion for unknown job " << completion.job;
+      << "completion for unknown job " << dispatch.job;
   Job& job = *it->second;
+  // The lease leaves the job's kill targets with the completion, so a
+  // cancel that starts from here on does not target the slot.
+  job.leases.erase(dispatch.id);
   job.in_flight -= 1;
-  job.slot_seconds += completion.elapsed_s;
+  job.slot_seconds += elapsed_s;
 
   if (job.state == JobState::kCancelled) {
     // The trial raced the cancel (often SIGKILLed mid-run): drop it
@@ -545,12 +601,11 @@ void Scheduler::handle_completion_locked(Completion completion,
     return;
   }
 
-  const runtime::MeasureResult& measured = completion.result;
-  job.session->tell(completion.config, measured.runtime_s, measured.valid);
+  job.session->tell(dispatch.config, measured.runtime_s, measured.valid);
   const std::size_t eval_index = job.completed;
   job.completed += 1;
   const std::vector<std::int64_t> tiles =
-      job.space->values_int(completion.config);
+      job.space->values_int(dispatch.config);
   if (measured.valid && measured.runtime_s < job.best_runtime_s) {
     job.best_runtime_s = measured.runtime_s;
     job.best_tiles = tiles;
@@ -569,10 +624,11 @@ void Scheduler::handle_completion_locked(Completion completion,
   record.valid = measured.valid;
   record.backend = job.spec.backend;
   record.nthreads = job.spec.nthreads;
-  if (perf_db_ != nullptr) perf_db_->append(record);
-  // Even without a perf-db file the live result enters the instant-lookup
-  // cache, so config_lookup answers improve while the daemon tunes.
-  lookup_.observe(record);
+  // The emitter appends it to the perf database and, even without a
+  // perf-db file, to the instant-lookup cache, so config_lookup answers
+  // improve while the daemon tunes.
+  outbox_records_.push_back(std::move(record));
+  wake_emitter_locked();
 
   {
     Json event = Json::object();
@@ -596,7 +652,7 @@ void Scheduler::handle_completion_locked(Completion completion,
               job.best_runtime_s == std::numeric_limits<double>::infinity()
                   ? 0.0
                   : job.best_runtime_s);
-    events.push_back({job.sink, std::move(frame)});
+    post_locked(job.sink, std::move(frame));
   }
 
   if (job.session->done()) {
@@ -618,47 +674,37 @@ void Scheduler::handle_completion_locked(Completion completion,
       Json best = Json::array();
       for (std::int64_t t : job.best_tiles) best.push_back(t);
       frame.set("best_tiles", std::move(best));
-      events.push_back({job.sink, std::move(frame)});
+      post_locked(job.sink, std::move(frame));
     }
     retire_locked(it);  // done() implies nothing is in flight
   }
 }
 
-void Scheduler::emit(std::vector<PendingEvent>& events) {
-  for (PendingEvent& event : events) {
-    if (event.sink) event.sink(event.frame);
-  }
-  events.clear();
-}
-
 void Scheduler::run() {
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::vector<runtime::TrialRecord> records;
   std::vector<PendingEvent> events;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    // Join dispatch threads that have released their slot (each posts
-    // itself last, so the join is immediate).
-    for (const std::uint64_t dispatch : finished_dispatches_) {
-      auto thread_it = dispatch_threads_.find(dispatch);
-      thread_it->second.join();
-      dispatch_threads_.erase(thread_it);
+    emit_cv_.wait(lock, [&] {
+      return stop_ || !outbox_records_.empty() || !outbox_events_.empty();
+    });
+    if (outbox_records_.empty() && outbox_events_.empty()) return;  // stop_
+    records.swap(outbox_records_);
+    events.swap(outbox_events_);
+    emitting_ = true;
+    lock.unlock();
+    // Records before frames: every record queued before a job's
+    // job_complete is in the database once that frame is written.
+    for (const runtime::TrialRecord& record : records) {
+      if (perf_db_ != nullptr) perf_db_->append(record);
+      lookup_.observe(record);
     }
-    finished_dispatches_.clear();
-    while (!completions_.empty()) {
-      Completion completion = std::move(completions_.front());
-      completions_.pop_front();
-      handle_completion_locked(std::move(completion), events);
-    }
-    fill_slots_locked(events);
-    if (!events.empty()) {
-      lock.unlock();
-      emit(events);
-      cv_.notify_all();  // drain() waits on completion bookkeeping
-      lock.lock();
-      continue;  // events may have taken time; re-check completions
-    }
-    if (stop_ && completions_.empty() && dispatch_threads_.empty()) break;
-    cv_.notify_all();
-    cv_.wait(lock);
+    for (PendingEvent& event : events) event.sink(event.frame);
+    records.clear();
+    events.clear();  // drops the sink copies outside mutex_ too
+    lock.lock();
+    emitting_ = false;
+    idle_cv_.notify_all();
   }
 }
 

@@ -5,20 +5,36 @@
 // propose/tell machine run_measure_loop_async drives — plus the
 // kernel's configuration space and a strategy tuner built by
 // framework::make_strategy_tuner with the session's seed-derivation
-// scheme. The scheduler thread ticks all sessions from the outside:
+// scheme. Sessions are ticked from the outside by two kinds of thread:
 //
-//   completions -> tell/abandon, record, emit events
-//   fill        -> while a worker slot is free, pick the runnable job
-//                  (highest-priority lane, then lowest consumed
-//                  slot-seconds — deficit fair share), ask() it for one
-//                  configuration, and dispatch the trial on a leased
-//                  slot in its own thread
+//   dispatchers -> a fixed set, spawned lazily (never more than the
+//                  slots leased at once) and kept until destruction. A
+//                  dispatcher runs one trial on its leased slot, then,
+//                  under the scheduler mutex, tells the job and queues
+//                  the trial's record and event frames; it releases the
+//                  slot, refills (highest-priority lane, then lowest
+//                  consumed slot-seconds — deficit fair share; ask() the
+//                  picked job for one configuration) and takes the first
+//                  new dispatch itself. Idle dispatchers are woken only
+//                  for the rest. submit() fills under its own lock.
+//   the emitter -> the scheduler thread. It takes the outbox, appends its
+//                  records to the perf database and the lookup cache,
+//                  then writes its frames to the job sinks, all outside
+//                  the mutex and in the order the dispatchers queued them.
 //
-// A dispatch thread queues its completion before it releases its slot,
-// and the fill loop handles every queued completion before it acquires a
-// slot, so a job is told each trial before it is asked for the next. The
-// thread then posts itself finished and the scheduler thread joins it;
-// nothing under the scheduler mutex waits on a slot's release.
+// Order invariants:
+//   * tell before release: a trial's completion is handled before its slot
+//     is released, so a job is told each trial before it is asked for the
+//     next, and a job's in-flight count never exceeds the fleet;
+//   * a completion's frames enter the outbox in the critical section of
+//     its tell, so each job's stream is job_start, its job_trial frames in
+//     completion order, then job_complete;
+//   * the emitter appends a batch's records before it writes the batch's
+//     frames, so a job's records are in the database before its
+//     job_complete frame is sent.
+//
+// Release happens outside the mutex because it may shut down a slot that
+// resize() retired.
 //
 // Because the proposal stream of a session depends only on (space, seed,
 // tell history), a single job on a one-worker daemon reproduces the
@@ -28,9 +44,11 @@
 // Admission control: a global active-job cap and a per-tenant cap, both
 // answered with typed errors (queue_full / quota_exceeded) rather than
 // queueing unboundedly. Cancellation SIGKILLs the job's in-flight
-// workers via WorkerPool::kill_leased — the dispatch threads get the
-// crash verdict, the slots respawn and go to other tenants, and no
-// wait_any-style ticket is ever stranded. drain() (SIGTERM) stops
+// workers via WorkerPool::kill_leased (a no-op once the lease's trial has
+// ended) — the dispatchers get the crash verdict, the slots respawn and
+// go to other tenants, and no wait_any-style ticket is ever stranded. A
+// slot parked in respawn backoff with nothing else in flight is retried
+// by the idle dispatchers until it is acquirable. drain() (SIGTERM) stops
 // admission and proposals, delivers in-flight results, then cancels
 // whatever is unfinished.
 //
@@ -121,8 +139,8 @@ struct JobStatus {
 
 class Scheduler {
  public:
-  /// Per-job event callback. Invoked from the scheduler thread with the
-  /// scheduler mutex released — a sink may block on a slow client socket
+  /// Per-job event callback. Invoked from the scheduler (emitter) thread
+  /// with the scheduler mutex released — a sink may block on a slow client socket
   /// without stalling dispatch bookkeeping (though it delays event
   /// delivery for other jobs; the server keeps per-connection writes
   /// short). Null sinks are fine (fire-and-forget jobs).
@@ -135,7 +153,8 @@ class Scheduler {
     bool ok() const { return error_code.empty(); }
   };
 
-  /// Spawns the worker fleet and the scheduler thread eagerly.
+  /// Spawns the worker fleet and the scheduler (emitter) thread eagerly;
+  /// dispatcher threads are spawned as slots are first filled.
   explicit Scheduler(SchedulerOptions options);
   /// Drains (if not already drained) and stops everything.
   ~Scheduler();
@@ -171,42 +190,65 @@ class Scheduler {
   /// Measured results in the instant-lookup cache (diagnostics/tests).
   std::size_t lookup_cache_size() const { return lookup_.cache_size(); }
 
+  /// Dispatcher threads spawned so far (diagnostics/tests): bounded by
+  /// the most slots the scheduler ever held leased at once.
+  std::size_t dispatcher_count() const;
+
   distd::WorkerPool& pool() { return *pool_; }
 
  private:
   struct Job;
-  struct Completion;
+  struct Dispatch;
   struct PendingEvent;
   using JobMap = std::map<std::uint64_t, std::unique_ptr<Job>>;
 
-  void run();  ///< scheduler thread main
-  void fill_slots_locked(std::vector<PendingEvent>& events);
-  void handle_completion_locked(Completion completion,
-                                std::vector<PendingEvent>& events);
+  void run();  ///< scheduler thread main: the emitter
+  void dispatcher_main();
+  /// Leases free slots to runnable jobs and queues the dispatches on
+  /// ready_; wake_dispatchers_locked() then hands them to dispatchers.
+  void fill_slots_locked();
+  void wake_dispatchers_locked();
+  /// Tells the job one trial's result and queues its record and frames.
+  void handle_completion_locked(const Dispatch& dispatch,
+                                const runtime::MeasureResult& measured,
+                                double elapsed_s);
   Job* pick_job_locked();
   /// Moves a terminal job with nothing in flight from jobs_ to retired_.
   void retire_locked(JobMap::iterator it);
-  void finish_cancel_locked(Job& job, const std::string& reason,
-                            std::vector<PendingEvent>& events);
-  void emit(std::vector<PendingEvent>& events);
+  void finish_cancel_locked(Job& job, const std::string& reason);
+  /// Queues one frame for the emitter (nothing for a null sink).
+  void post_locked(const EventSink& sink, Json frame);
+  void wake_emitter_locked();
   void trace(Json event) const;
 
   SchedulerOptions options_;
   std::unique_ptr<distd::WorkerPool> pool_;
   std::unique_ptr<runtime::PerfDbAppender> perf_db_;
   /// Instant-config answerer: internally synchronized (own mutex), fed by
-  /// handle_completion_locked, queried by lookup() without mutex_.
+  /// the emitter, queried by lookup() without mutex_.
   transfer::ConfigLookup lookup_;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  std::condition_variable dispatch_cv_;  ///< idle dispatchers wait here
+  std::condition_variable emit_cv_;      ///< the emitter waits here
+  std::condition_variable idle_cv_;      ///< drain() waits here
   JobMap jobs_;  ///< live jobs only
   /// Final snapshots of retired jobs (status/list answers; never cancellable).
   std::map<std::uint64_t, JobStatus> retired_;
-  std::deque<Completion> completions_;
-  std::map<std::uint64_t, std::thread> dispatch_threads_;
-  /// Dispatch threads that have released their slot and are ready to join.
-  std::vector<std::uint64_t> finished_dispatches_;
+  /// Leased dispatches no dispatcher has taken yet.
+  std::deque<Dispatch> ready_;
+  std::vector<std::thread> dispatchers_;
+  /// Dispatchers holding a trial (from taking it until it is told), and
+  /// dispatchers between that and relocking after the slot's release.
+  std::size_t running_trials_ = 0;
+  std::size_t releasing_slots_ = 0;
+  /// The outbox: records and frames the emitter has yet to take.
+  std::vector<runtime::TrialRecord> outbox_records_;
+  std::vector<PendingEvent> outbox_events_;
+  bool emitting_ = false;  ///< the emitter is writing what it took
+  /// The last fill found a runnable job but no acquirable slot, with no
+  /// trial in flight to refill one.
+  bool cooling_ = false;
   std::uint64_t next_job_id_ = 1;
   std::uint64_t next_dispatch_id_ = 1;
   bool draining_ = false;

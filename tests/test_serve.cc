@@ -15,6 +15,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -28,6 +29,7 @@
 #include "distd/proc_device.h"
 #include "framework/session.h"
 #include "kernels/polybench.h"
+#include "runtime/perf_db.h"
 #include "runtime/trace_log.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -315,11 +317,10 @@ TEST(Serve, ThreeConcurrentJobsShareFourWorkers) {
   EXPECT_LT(hi, lo * 3.0) << "fair share skew: " << lo << " vs " << hi;
 
   // Trace-verify slot saturation: replaying job_dispatch vs job_trial in
-  // order, at least four dispatches must be outstanding at some point —
-  // 3 runnable jobs never leave the fleet partially idle. (The count can
-  // transiently exceed the fleet size: a slot is released before its
-  // completion event is recorded, so the successor dispatch may appear
-  // first in the trace.)
+  // order, exactly four dispatches must be outstanding at some point —
+  // 3 runnable jobs never leave the fleet partially idle, and a trial's
+  // job_trial is recorded before its slot is released, so a successor
+  // dispatch never appears in the trace ahead of it.
   std::istringstream replay(trace_out.str());
   std::string line;
   int in_flight = 0;
@@ -334,6 +335,167 @@ TEST(Serve, ThreeConcurrentJobsShareFourWorkers) {
     }
   }
   EXPECT_GE(max_in_flight, 4);
+  EXPECT_LE(max_in_flight, 4);
+}
+
+/// Records per strategy in an append-only JSONL perf database, reading
+/// only what was appended since the last call.
+class PerfDbTail {
+ public:
+  explicit PerfDbTail(std::string path) : path_(std::move(path)) {}
+
+  std::size_t count(const std::string& strategy) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::ifstream in(path_);
+    in.seekg(static_cast<std::streamoff>(offset_));
+    std::string line;
+    while (std::getline(in, line) && !in.eof()) {
+      offset_ += line.size() + 1;
+      counts_[Json::parse(line).at("strategy").as_string()] += 1;
+    }
+    return counts_[strategy];
+  }
+
+ private:
+  std::mutex mutex_;
+  std::string path_;
+  std::size_t offset_ = 0;
+  std::map<std::string, std::size_t> counts_;
+};
+
+/// Each job's frames reach its sink in protocol order — job_start, then
+/// `budget` job_trial frames, then job_complete — and all of its records
+/// are in the perf database by the time job_complete is written. A job's
+/// trials complete on several dispatchers at once, so out-of-order frames
+/// show up in a few jobs per thousand: hence over a thousand short jobs
+/// from three tenants on four workers.
+TEST(Serve, JobStreamsAndRecordsStayInOrder) {
+  SKIP_WITHOUT_WORKER();
+  constexpr std::size_t kBudget = 4;
+  constexpr int kTenants = 3;
+  constexpr int kJobsPerTenant = 400;
+  const std::string db_path = "/tmp/tvmbo_serve_order_" +
+                              std::to_string(::getpid()) + "_db.jsonl";
+  std::remove(db_path.c_str());
+  PerfDbTail db(db_path);
+
+  std::vector<std::unique_ptr<EventLog>> logs;
+  for (int i = 0; i < kTenants * kJobsPerTenant; ++i) {
+    logs.push_back(std::make_unique<EventLog>());
+  }
+  {
+    SchedulerOptions options = fast_options(4);
+    options.perf_db_path = db_path;
+    Scheduler scheduler(options);
+    std::vector<std::thread> tenants;
+    for (int t = 0; t < kTenants; ++t) {
+      tenants.emplace_back([&, t] {
+        const std::string tenant = "tenant" + std::to_string(t);
+        for (int j = 0; j < kJobsPerTenant; ++j) {
+          EventLog& log = *logs[static_cast<std::size_t>(
+              t * kJobsPerTenant + j)];
+          // Tags job_complete with the job's records in the database at
+          // the moment the frame is written.
+          auto sink = [inner = log.sink(), tenant, &db](const Json& frame) {
+            if (frame.at("event").as_string() != "job_complete") {
+              inner(frame);
+              return;
+            }
+            Json tagged = frame;
+            tagged.set("records",
+                       static_cast<std::int64_t>(db.count(
+                           tenant + "/" +
+                           std::to_string(frame.at("job").as_int()) +
+                           "/random")));
+            inner(tagged);
+          };
+          JobSpec spec = gemm_spec(
+              kBudget, static_cast<std::uint64_t>(1000 * t + j), tenant);
+          spec.backend = "closure";
+          const auto result = scheduler.submit(spec, sink);
+          if (!result.ok()) {
+            ADD_FAILURE() << tenant << ": " << result.message;
+            return;
+          }
+          if (!log.wait_terminal()) {
+            ADD_FAILURE() << "job " << result.job << " stuck";
+            return;
+          }
+        }
+      });
+    }
+    for (std::thread& tenant : tenants) tenant.join();
+  }
+  std::remove(db_path.c_str());
+
+  std::size_t bad_streams = 0;
+  for (const auto& log : logs) {
+    const std::vector<Json> events = log->events();
+    std::vector<std::string> names;
+    std::vector<std::int64_t> indices;
+    for (const Json& event : events) {
+      names.push_back(event.at("event").as_string());
+      if (names.back() == "job_trial") {
+        indices.push_back(event.at("i").as_int());
+      }
+    }
+    std::vector<std::string> expected = {"job_start"};
+    expected.insert(expected.end(), kBudget, "job_trial");
+    expected.push_back("job_complete");
+    const bool ordered =
+        names == expected &&
+        indices == std::vector<std::int64_t>{0, 1, 2, 3} &&
+        events.back().at("records").as_int() ==
+            static_cast<std::int64_t>(kBudget);
+    if (!ordered && ++bad_streams <= 3) {
+      std::string got;
+      for (const Json& event : events) got += event.dump() + "\n";
+      ADD_FAILURE() << "job stream out of order:\n" << got;
+    }
+  }
+  EXPECT_EQ(bad_streams, 0u) << "of " << logs.size() << " jobs";
+}
+
+/// A fire-and-forget job (no event sink) queues no frames, yet its
+/// records still reach the lookup cache (and the perf database).
+TEST(Serve, SinklessJobStillRecordsItsTrials) {
+  SKIP_WITHOUT_WORKER();
+  Scheduler scheduler(fast_options(1));
+  const auto result = scheduler.submit(gemm_spec(4, 9), nullptr);
+  ASSERT_TRUE(result.ok()) << result.message;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (scheduler.status(result.job)->state != JobState::kDone ||
+         scheduler.lookup_cache_size() == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the job's records never reached the lookup cache";
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
+/// Dispatchers are a fixed set, not a thread per trial: after over a
+/// hundred trials on two workers, no more dispatcher threads exist than
+/// the two slots the scheduler could ever hold leased at once.
+TEST(Serve, DispatchersNeverOutnumberSlots) {
+  SKIP_WITHOUT_WORKER();
+  constexpr std::size_t kBudget = 15;
+  constexpr int kJobs = 8;
+  EventLog logs[kJobs];
+  Scheduler scheduler(fast_options(2));
+  EXPECT_EQ(scheduler.dispatcher_count(), 0u) << "spawned before any job";
+  for (int i = 0; i < kJobs; ++i) {
+    const auto result = scheduler.submit(
+        gemm_spec(kBudget, 400 + static_cast<std::uint64_t>(i),
+                  i % 2 == 0 ? "alice" : "bob"),
+        logs[i].sink());
+    ASSERT_TRUE(result.ok()) << result.message;
+  }
+  for (EventLog& log : logs) {
+    ASSERT_TRUE(log.wait_terminal());
+    EXPECT_EQ(log.count("job_trial"), kBudget);
+  }
+  EXPECT_GE(scheduler.dispatcher_count(), 1u);
+  EXPECT_LE(scheduler.dispatcher_count(), 2u);
 }
 
 // --- Admission control ----------------------------------------------------
@@ -433,6 +595,23 @@ TEST(Serve, WorkerCrashMidStreamDoesNotStrandJob) {
   EXPECT_GE(scheduler.pool().total_crashes(), 4u);
 }
 
+/// A slot that keeps crashing is parked in respawn backoff. With nothing
+/// else in flight, no completion refills it, so the scheduler must come
+/// back to it once the backoff expires instead of stalling the job.
+TEST(Serve, JobOutlastsRespawnBackoff) {
+  SKIP_WITHOUT_WORKER();
+  constexpr std::size_t kBudget = 6;
+  EventLog log;
+  Scheduler scheduler(fast_options(1));
+  const auto result = scheduler.submit(fault_spec("fault.segv", kBudget),
+                                       log.sink());
+  ASSERT_TRUE(result.ok()) << result.message;
+  ASSERT_TRUE(log.wait_terminal(20)) << "job stalled after "
+                                     << log.count("job_trial") << " trials";
+  EXPECT_EQ(log.count("job_trial"), kBudget);
+  EXPECT_EQ(log.count("job_complete"), 1u);
+}
+
 /// Shrinking and growing the fleet under two active jobs must not lose a
 /// single dispatch: retired slots serve out their in-flight trial, new
 /// slots spawn lazily, and both jobs complete their budgets.
@@ -511,6 +690,44 @@ TEST(Serve, PoolLeaseAcquireReleaseResize) {
     EXPECT_TRUE(r.valid) << r.error;
     pool.release(std::move(lease));
   }
+}
+
+/// A lease copied before its slot moved on cannot kill: not once the slot
+/// was released and leased again (the new holder's trial must run), and
+/// not once the trial it was copied for has ended.
+TEST(Serve, PoolKillOfStaleLeaseIsVoid) {
+  SKIP_WITHOUT_WORKER();
+  distd::WorkerPoolOptions options;
+  options.num_workers = 1;
+  options.heartbeat_ms = 100;
+  distd::WorkerPool pool(options);
+  distd::MeasureRequest request;
+  request.workload = distd::make_fault_workload("fault.segv");
+  request.tiles = {1};
+
+  auto a = pool.try_acquire();
+  ASSERT_TRUE(a.has_value());
+  const distd::WorkerPool::Lease released = *a;
+  pool.release(std::move(*a));
+  auto b = pool.try_acquire();
+  ASSERT_TRUE(b.has_value());
+  ASSERT_EQ(b->worker_id, released.worker_id);
+  pool.kill_leased(released);
+  EXPECT_EQ(pool.total_kills(), 0u);
+  runtime::MeasureResult result = pool.measure_leased(*b, request);
+  EXPECT_TRUE(result.valid) << result.error;
+
+  // b's copy from before that trial is stale now; the holder's lease
+  // targets its next trial.
+  const distd::WorkerPool::Lease before_trial = *b;
+  result = pool.measure_leased(*b, request);
+  EXPECT_TRUE(result.valid) << result.error;
+  pool.kill_leased(before_trial);
+  EXPECT_EQ(pool.total_kills(), 0u);
+  result = pool.measure_leased(*b, request);
+  EXPECT_TRUE(result.valid) << result.error;
+  pool.release(std::move(*b));
+  EXPECT_EQ(pool.total_crashes(), 0u);
 }
 
 // --- Drain ----------------------------------------------------------------
