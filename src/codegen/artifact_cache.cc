@@ -1,15 +1,23 @@
 #include "codegen/artifact_cache.h"
 
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/timer.h"
+
+extern char** environ;
 
 namespace tvmbo::codegen {
 
@@ -71,7 +79,57 @@ std::string read_tail(const fs::path& path, std::size_t max_bytes = 2000) {
   return text;
 }
 
+std::vector<std::string> split_words(const std::string& text) {
+  std::vector<std::string> words;
+  std::istringstream in(text);
+  for (std::string word; in >> word;) words.push_back(std::move(word));
+  return words;
+}
+
 }  // namespace
+
+std::string run_compiler(const std::string& compiler, const std::string& flags,
+                         const std::string& out_path, const std::string& c_path,
+                         const std::string& log_path) {
+  std::vector<std::string> words = split_words(compiler);
+  if (words.empty()) return "empty compiler command";
+  for (std::string& flag : split_words(flags)) words.push_back(std::move(flag));
+  // Same argument order as a shell `cc <flags> -o out.so in.c -lm`, so the
+  // link line, and with it the shared object, is unchanged.
+  words.insert(words.end(), {"-o", out_path, c_path, "-lm"});
+  std::vector<char*> argv;
+  argv.reserve(words.size() + 1);
+  for (std::string& word : words) argv.push_back(word.data());
+  argv.push_back(nullptr);
+
+  // The compiler's stdout and stderr both land in the log.
+  posix_spawn_file_actions_t actions;
+  int error = posix_spawn_file_actions_init(&actions);
+  if (error != 0) return std::string("spawn setup: ") + std::strerror(error);
+  error = posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO,
+                                           log_path.c_str(),
+                                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (error == 0) {
+    error = posix_spawn_file_actions_adddup2(&actions, STDOUT_FILENO,
+                                             STDERR_FILENO);
+  }
+  pid_t pid = -1;
+  if (error == 0) {
+    error =
+        ::posix_spawnp(&pid, argv[0], &actions, nullptr, argv.data(), environ);
+  }
+  posix_spawn_file_actions_destroy(&actions);
+  if (error != 0) {
+    return "cannot run '" + words[0] + "': " + std::strerror(error);
+  }
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0) {
+    if (errno != EINTR) return std::string("waitpid: ") + std::strerror(errno);
+  }
+  if (WIFSIGNALED(status)) return "signal " + std::to_string(WTERMSIG(status));
+  const int code = WEXITSTATUS(status);
+  return code == 0 ? "" : "exit " + std::to_string(code);
+}
 
 ArtifactCache::ArtifactCache(std::string dir) : dir_(std::move(dir)) {
   TVMBO_CHECK(!dir_.empty()) << "artifact cache requires a directory";
@@ -130,19 +188,17 @@ Artifact ArtifactCache::get_or_compile(const std::string& source,
       base.string() + ".tmp." +
       std::to_string(static_cast<std::uint64_t>(::getpid())) + "." +
       std::to_string(counter.fetch_add(1)) + ".so";
-  const std::string command = compiler + " " + flags + " -o \"" +
-                              tmp_path.string() + "\" \"" + c_path.string() +
-                              "\" -lm > \"" + log_path.string() + "\" 2>&1";
   Stopwatch timer;
-  const int rc = std::system(command.c_str());
+  const std::string error = run_compiler(compiler, flags, tmp_path.string(),
+                                         c_path.string(), log_path.string());
   const double elapsed = timer.elapsed_seconds();
-  if (rc != 0) {
+  if (!error.empty()) {
     fs::remove(tmp_path, ec);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.failures;
     }
-    TVMBO_CHECK(false) << "JIT compile failed (exit " << rc << "): '"
+    TVMBO_CHECK(false) << "JIT compile failed (" << error << "): '"
                        << compiler << " " << flags << "' on "
                        << c_path.string() << "\n"
                        << read_tail(log_path);

@@ -115,4 +115,15 @@ class ArtifactCache {
 /// 64-bit FNV-1a content hash (exposed for tests).
 std::uint64_t fnv1a64(const std::string& text);
 
+/// Runs `<compiler> <flags> -o <out_path> <c_path> -lm` with
+/// posix_spawnp and waits for it; no shell is involved. `compiler` and
+/// `flags` are split on whitespace, with no quoting or escaping, so a
+/// compiler such as "ccache gcc" works but an argument cannot contain a
+/// space. Paths are passed as single arguments, whatever characters they
+/// hold. The compiler's stdout and stderr go to `log_path`. Returns ""
+/// on success, else what went wrong ("exit 1", "signal 9", a spawn error).
+std::string run_compiler(const std::string& compiler, const std::string& flags,
+                         const std::string& out_path, const std::string& c_path,
+                         const std::string& log_path);
+
 }  // namespace tvmbo::codegen

@@ -10,7 +10,113 @@
 namespace tvmbo::codegen {
 
 namespace {
+
 constexpr const char* kKernelSymbol = "tvmbo_kernel";
+constexpr const char* kSimdSymbol = "tvmbo_simd_probe";
+constexpr const char* kToolchainProbe = "toolchain";
+constexpr const char* kOpenmpProbe = "openmp";
+
+// Hand-written probe functions (not emit_c_source) with a known result:
+// 64 ones summed by a reduction under the pragma being probed.
+constexpr const char* kSimdProbeSource =
+    "void tvmbo_simd_probe(double** bufs) {\n"
+    "  double acc = 0.0;\n"
+    "  #pragma omp simd reduction(+:acc)\n"
+    "  for (int i = 0; i < 64; ++i) acc += 1.0;\n"
+    "  bufs[0][0] = acc;\n"
+    "}\n";
+constexpr const char* kOpenmpProbeSource =
+    "void tvmbo_kernel(double** bufs) {\n"
+    "  double acc = 0.0;\n"
+    "  #pragma omp parallel for reduction(+:acc) schedule(static)\n"
+    "  for (int i = 0; i < 64; ++i) acc += 1.0;\n"
+    "  bufs[0][0] = acc;\n"
+    "}\n";
+
+/// What one probe compile proved.
+struct ProbeVerdict {
+  bool ok = false;    ///< the probe compiled, loaded and computed its value
+  bool simd = false;  ///< so did its `#pragma omp simd` part, -fopenmp-simd on
+};
+
+using ProbeFn = ProbeVerdict (*)(const JitOptions&);
+
+/// Runs `probe` once per (probe name, compiler, flags, cache dir) and
+/// records its verdict; a probe that throws proves nothing. One lock
+/// covers every probe, so concurrent first callers compile once.
+ProbeVerdict probe_once(const char* name, const JitOptions& options,
+                        ProbeFn probe) {
+  static std::mutex mutex;
+  static std::unordered_map<std::string, ProbeVerdict>* probed =
+      new std::unordered_map<std::string, ProbeVerdict>();
+  const std::string key = std::string(name) + "\x1f" +
+                          options.resolved_compiler() + "\x1f" +
+                          options.flags + "\x1f" +
+                          options.resolved_cache_dir();
+  std::lock_guard<std::mutex> lock(mutex);
+  if (auto it = probed->find(key); it != probed->end()) return it->second;
+  ProbeVerdict verdict;
+  try {
+    verdict = probe(options);
+  } catch (const std::exception&) {
+    // Leaves both verdicts false.
+  }
+  (*probed)[key] = verdict;
+  return verdict;
+}
+
+/// Calls a probe function of `module` on a one-element buffer and returns
+/// what it wrote there.
+double call_probe(const JitModule& module, const char* symbol) {
+  double value = 0.0;
+  double* buf = &value;
+  reinterpret_cast<void (*)(double**)>(module.symbol(symbol))(&buf);
+  return value;
+}
+
+/// One compile answers both toolchain_available and simd_available: a
+/// translation unit holding an emitted one-store kernel (the full emit ->
+/// cc -> dlopen -> dlsym pipeline) and the simd reduction, built with
+/// -fopenmp-simd. When that build fails, the kernel alone with the plain
+/// flags still proves the toolchain, and simd is off.
+ProbeVerdict probe_toolchain(const JitOptions& options) {
+  const te::Tensor out = te::placeholder({1}, "probe");
+  const te::Var i = te::make_var("i");
+  const te::Stmt stmt = te::make_for(
+      i, 1, te::ForKind::kSerial,
+      te::make_store(out, {i}, te::make_float(1.0)));
+  const std::string kernel = emit_c_source(stmt, {out}, kKernelSymbol);
+  ArtifactCache& cache = ArtifactCache::shared(options);
+  const std::string compiler = options.resolved_compiler();
+  try {
+    const Artifact artifact = cache.get_or_compile(
+        kernel + "\n" + kSimdProbeSource, compiler,
+        options.flags + " -fopenmp-simd");
+    const std::shared_ptr<JitModule> module = JitModule::load(artifact.so_path);
+    return {call_probe(*module, kKernelSymbol) == 1.0,
+            call_probe(*module, kSimdSymbol) == 64.0};
+  } catch (const std::exception&) {
+    // Fall through to the plain build.
+  }
+  const Artifact artifact =
+      cache.get_or_compile(kernel, compiler, options.flags);
+  const std::shared_ptr<JitModule> module = JitModule::load(artifact.so_path);
+  return {call_probe(*module, kKernelSymbol) == 1.0, false};
+}
+
+/// Compiles and runs a real OpenMP reduction, proving both -fopenmp
+/// acceptance and a working runtime (libgomp/libomp), not just flag
+/// parsing.
+ProbeVerdict probe_openmp(const JitOptions& options) {
+  const Artifact artifact = ArtifactCache::shared(options).get_or_compile(
+      kOpenmpProbeSource, options.resolved_compiler(),
+      options.flags + " -fopenmp");
+  // Pinned like every OpenMP kernel (see JitModule::load).
+  const std::shared_ptr<JitModule> module =
+      JitModule::load(artifact.so_path, /*pin=*/true);
+  return {call_probe(*module, kKernelSymbol) == 64.0, false};
+}
+
 }  // namespace
 
 JitProgram JitProgram::compile(
@@ -96,113 +202,15 @@ void JitProgram::run() const {
 }
 
 bool JitProgram::toolchain_available(const JitOptions& options) {
-  // One probe per (compiler, flags, cache dir): build and load a trivial
-  // kernel through the full emit -> cc -> dlopen -> dlsym pipeline.
-  static std::mutex mutex;
-  static std::unordered_map<std::string, bool>* probed =
-      new std::unordered_map<std::string, bool>();
-  const std::string key = options.resolved_compiler() + "\x1f" +
-                          options.flags + "\x1f" +
-                          options.resolved_cache_dir();
-  std::lock_guard<std::mutex> lock(mutex);
-  if (auto it = probed->find(key); it != probed->end()) return it->second;
-  bool ok = false;
-  try {
-    const te::Tensor out = te::placeholder({1}, "probe");
-    const te::Var i = te::make_var("i");
-    const te::Stmt stmt = te::make_for(
-        i, 1, te::ForKind::kSerial,
-        te::make_store(out, {i}, te::make_float(1.0)));
-    runtime::NDArray buffer({1});
-    JitProgram probe = JitProgram::compile(stmt, {{out, &buffer}}, options);
-    probe.run();
-    ok = buffer.f64()[0] == 1.0;
-  } catch (const std::exception&) {
-    ok = false;
-  }
-  (*probed)[key] = ok;
-  return ok;
-}
-
-bool JitProgram::openmp_available(const JitOptions& options) {
-  // One probe per (compiler, flags, cache dir): compile and run a real
-  // OpenMP reduction, verifying both -fopenmp acceptance and a working
-  // runtime (libgomp/libomp), not just flag parsing.
-  static std::mutex mutex;
-  static std::unordered_map<std::string, bool>* probed =
-      new std::unordered_map<std::string, bool>();
-  const std::string key = options.resolved_compiler() + "\x1f" +
-                          options.flags + "\x1f" +
-                          options.resolved_cache_dir();
-  std::lock_guard<std::mutex> lock(mutex);
-  if (auto it = probed->find(key); it != probed->end()) return it->second;
-  bool ok = false;
-  try {
-    // Hand-written probe source (not emit_c_source) so the probe does not
-    // recurse through compile(), which consults this function.
-    const std::string source =
-        "void tvmbo_kernel(double** bufs) {\n"
-        "  double acc = 0.0;\n"
-        "  #pragma omp parallel for reduction(+:acc) schedule(static)\n"
-        "  for (int i = 0; i < 64; ++i) acc += 1.0;\n"
-        "  bufs[0][0] = acc;\n"
-        "}\n";
-    const Artifact artifact = ArtifactCache::shared(options).get_or_compile(
-        source, options.resolved_compiler(), options.flags + " -fopenmp");
-    std::shared_ptr<JitModule> module =
-        JitModule::load(artifact.so_path, /*pin=*/true);
-    auto fn =
-        reinterpret_cast<KernelFn>(module->symbol(kKernelSymbol));
-    double value = 0.0;
-    double* buf = &value;
-    fn(&buf);
-    ok = value == 64.0;
-  } catch (const std::exception&) {
-    ok = false;
-  }
-  (*probed)[key] = ok;
-  return ok;
+  return probe_once(kToolchainProbe, options, probe_toolchain).ok;
 }
 
 bool JitProgram::simd_available(const JitOptions& options) {
-  // One probe per (compiler, flags, cache dir): compile a `#pragma omp
-  // simd` reduction with -fopenmp-simd and verify the result, proving the
-  // flag is accepted and the pragma does not miscompile.
-  static std::mutex mutex;
-  static std::unordered_map<std::string, bool>* probed =
-      new std::unordered_map<std::string, bool>();
-  const std::string key = options.resolved_compiler() + "\x1f" +
-                          options.flags + "\x1f" +
-                          options.resolved_cache_dir();
-  std::lock_guard<std::mutex> lock(mutex);
-  if (auto it = probed->find(key); it != probed->end()) return it->second;
-  bool ok = false;
-  try {
-    // Hand-written probe source (not emit_c_source) so the probe does not
-    // recurse through compile(), which consults this function.
-    const std::string source =
-        "void tvmbo_kernel(double** bufs) {\n"
-        "  double acc = 0.0;\n"
-        "  #pragma omp simd reduction(+:acc)\n"
-        "  for (int i = 0; i < 64; ++i) acc += 1.0;\n"
-        "  bufs[0][0] = acc;\n"
-        "}\n";
-    const Artifact artifact = ArtifactCache::shared(options).get_or_compile(
-        source, options.resolved_compiler(),
-        options.flags + " -fopenmp-simd");
-    std::shared_ptr<JitModule> module =
-        JitModule::load(artifact.so_path, /*pin=*/false);
-    auto fn =
-        reinterpret_cast<KernelFn>(module->symbol(kKernelSymbol));
-    double value = 0.0;
-    double* buf = &value;
-    fn(&buf);
-    ok = value == 64.0;
-  } catch (const std::exception&) {
-    ok = false;
-  }
-  (*probed)[key] = ok;
-  return ok;
+  return probe_once(kToolchainProbe, options, probe_toolchain).simd;
+}
+
+bool JitProgram::openmp_available(const JitOptions& options) {
+  return probe_once(kOpenmpProbe, options, probe_openmp).ok;
 }
 
 }  // namespace tvmbo::codegen

@@ -47,7 +47,10 @@ class JitProgram {
   const std::string& artifact_path() const { return module_->path(); }
 
   /// True when a working C compiler + dlopen toolchain is available (the
-  /// result of a one-time probe compile; tests use this to skip).
+  /// result of a one-time probe compile; tests use this to skip). The same
+  /// compile answers simd_available: one translation unit holds an emitted
+  /// kernel and a `#pragma omp simd` reduction, built with -fopenmp-simd;
+  /// only when that build fails does a plain build of the kernel decide.
   static bool toolchain_available(const JitOptions& options = {});
 
   /// True when the toolchain accepts -fopenmp and the resulting kernel
@@ -58,8 +61,8 @@ class JitProgram {
   static bool openmp_available(const JitOptions& options = {});
 
   /// True when the toolchain accepts -fopenmp-simd and a `#pragma omp
-  /// simd` kernel built with it runs correctly (one-time probe compile,
-  /// like openmp_available). -fopenmp-simd activates only the simd
+  /// simd` kernel built with it runs correctly (the toolchain_available
+  /// probe; whichever of the two runs first compiles it). -fopenmp-simd activates only the simd
   /// constructs — no OpenMP runtime, no thread pool — so it is the right
   /// flag for vectorized-but-serial builds; a full -fopenmp build
   /// subsumes it. When false, vectorize requests keep the pragma but

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <limits>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -9,9 +14,13 @@
 #include "codegen/c_emitter.h"
 #include "codegen/jit_program.h"
 #include "common/logging.h"
+#include "common/rng.h"
+#include "kernels/polybench.h"
 #include "kernels/te_kernels.h"
+#include "kernels/te_programs.h"
 #include "te/interp.h"
 #include "te/lower.h"
+#include "te/transform.h"
 
 namespace tvmbo::codegen {
 namespace {
@@ -23,6 +32,81 @@ JitOptions test_options(const std::string& subdir) {
   // test runs (the dir is stable across runs by construction).
   std::filesystem::remove_all(options.cache_dir);
   return options;
+}
+
+std::string read_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void write_text(const std::filesystem::path& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+struct BuiltKernel {
+  std::string source;
+  std::string artifact_path;
+};
+
+/// Compiles `stmt`, a schedule of `t` = make_gemm(6, 7, 5), runs it, and
+/// expects every output element to equal the interpreter's.
+BuiltKernel expect_gemm_matches_interpreter(const kernels::GemmTensors& t,
+                                            const te::Stmt& stmt,
+                                            const JitOptions& options) {
+  runtime::NDArray a({6, 5}), b({5, 7}), c_jit({6, 7}), c_ref({6, 7});
+  for (std::int64_t i = 0; i < a.num_elements(); ++i) {
+    a.f64()[i] = 0.25 * static_cast<double>(i % 11) - 1.0;
+  }
+  for (std::int64_t i = 0; i < b.num_elements(); ++i) {
+    b.f64()[i] = 0.5 * static_cast<double>(i % 7) - 1.5;
+  }
+  JitProgram program = JitProgram::compile(
+      stmt, {{t.A, &a}, {t.B, &b}, {t.C, &c_jit}}, options);
+  program.run();
+  te::Interpreter interp;
+  interp.bind(t.A, &a);
+  interp.bind(t.B, &b);
+  interp.bind(t.C, &c_ref);
+  interp.run(stmt);
+  for (std::int64_t i = 0; i < c_ref.num_elements(); ++i) {
+    EXPECT_EQ(c_jit.f64()[i], c_ref.f64()[i]) << "element " << i;
+  }
+  return {program.source(), program.artifact_path()};
+}
+
+/// `source` with its prelude swapped back for the three system headers
+/// every emitted kernel included before the header-free prelude.
+std::string with_header_prelude(const std::string& source) {
+  const std::size_t begin = source.find("#if ");
+  const std::size_t end = source.find("#endif\n");
+  EXPECT_NE(begin, std::string::npos);
+  EXPECT_NE(end, std::string::npos);
+  return source.substr(0, begin) +
+         "#include <math.h>\n#include <stdint.h>\n#include <stdlib.h>\n" +
+         source.substr(end + 7);
+}
+
+/// The source and flags JitProgram::compile builds for a serial `stmt`.
+std::pair<std::string, std::string> emit_like_compile(
+    te::Stmt stmt, const std::vector<te::Tensor>& params, int unroll_factor,
+    const JitOptions& options) {
+  if (te::has_loop_kind(stmt, te::ForKind::kUnrolled)) {
+    stmt = te::unroll_loops(stmt);
+  }
+  EmitOptions emit;
+  std::string flags = options.flags;
+  if (te::has_loop_kind(stmt, te::ForKind::kVectorized)) {
+    emit.vectorize = true;
+    if (JitProgram::simd_available(options)) flags += " -fopenmp-simd";
+  }
+  if (te::has_loop_kind(stmt, te::ForKind::kUnrolled)) {
+    emit.unroll = true;
+    emit.unroll_factor = unroll_factor;
+  }
+  return {emit_c_source(stmt, params, "tvmbo_kernel", emit), flags};
 }
 
 TEST(Fnv1a, DeterministicAndSensitive) {
@@ -128,38 +212,176 @@ TEST(CEmitter, RejectsUnboundTensor) {
   EXPECT_THROW(emit_c_source(stmt, {}), CheckError);
 }
 
+TEST(CEmitter, PreludeLeavesArtifactsUnchanged) {
+  // The header-free prelude must build the same object the three system
+  // headers did: each kernel is compiled from both preludes under the
+  // same file name in two directories, and the shared objects must be
+  // byte-identical.
+  const JitOptions options = test_options("prelude");
+  if (!JitProgram::toolchain_available(options)) {
+    GTEST_SKIP() << "no C toolchain";
+  }
+  struct Case {
+    std::string name;
+    te::Stmt stmt;
+    std::vector<te::Tensor> params;
+    int unroll_factor = 0;
+  };
+  std::vector<Case> cases;
+  kernels::ScheduleKnobs knobs;
+  knobs.enabled = true;
+  knobs.max_threads = 1;
+  knobs.vectorize = true;
+  knobs.unroll = true;
+  knobs.pack = true;
+  Rng rng(21);
+  for (const char* kernel : {"lu", "cholesky", "3mm"}) {
+    const std::vector<std::int64_t> dims =
+        kernels::polybench_dims(kernel, kernels::Dataset::kSmall);
+    const cs::ConfigurationSpace space =
+        kernels::build_space(kernel, dims, knobs);
+    for (int i = 0; i < 3; ++i) {
+      const std::vector<std::int64_t> tiles =
+          space.values_int(space.sample(rng));
+      kernels::TeLoweredProgram program =
+          kernels::lower_te_program(kernel, dims, tiles);
+      cases.push_back({kernel + std::to_string(i), program.stmt,
+                       program.params, program.unroll_factor});
+    }
+  }
+  // Hand-built statements reach what no sampled kernel emits: INFINITY,
+  // the math calls, the floor-div/mod helpers and a calloc'd realize.
+  const double inf = std::numeric_limits<double>::infinity();
+  const te::Tensor x = te::placeholder({8}, "x");
+  const te::Tensor y = te::placeholder({8}, "y");
+  const te::Tensor scratch = te::placeholder({8}, "scratch");
+  const te::Var i = te::make_var("i");
+  const te::Expr xi = te::access(x, {i});
+  const te::Expr magnitude = te::abs_expr(xi);
+  cases.push_back(
+      {"math",
+       te::make_for(
+           i, 8, te::ForKind::kSerial,
+           te::make_store(
+               y, {i},
+               te::min_expr(te::make_float(inf), te::sqrt_expr(magnitude)) +
+                   te::exp_expr(xi) +
+                   te::log_expr(magnitude + te::make_float(1.0)) +
+                   te::max_expr(te::make_float(-inf), xi))),
+       {x, y}});
+  cases.push_back(
+      {"divmod-realize",
+       te::make_realize(
+           scratch,
+           te::make_seq(
+               {te::make_for(i, 8, te::ForKind::kSerial,
+                             te::make_store(
+                                 scratch, {i},
+                                 te::floor_div(xi, te::make_float(3.0)) +
+                                     te::floor_mod(xi, te::make_float(3.0)))),
+                te::make_for(
+                    i, 8, te::ForKind::kSerial,
+                    te::make_store(
+                        y, {te::floor_mod(i + te::make_int(3), te::make_int(8))},
+                        te::access(scratch,
+                                   {te::floor_div(i, te::make_int(2))})))})),
+       {x, y}});
+
+  const std::string compiler = options.resolved_compiler();
+  const std::filesystem::path root = options.resolved_cache_dir();
+  std::string bodies;
+  for (const Case& c : cases) {
+    const auto [source, flags] =
+        emit_like_compile(c.stmt, c.params, c.unroll_factor, options);
+    bodies += source.substr(source.find("void tvmbo_kernel"));
+    const std::string texts[2] = {source, with_header_prelude(source)};
+    std::string objects[2];
+    for (int v = 0; v < 2; ++v) {
+      const std::filesystem::path dir = root / (v == 0 ? "declared" : "headers");
+      std::filesystem::create_directories(dir);
+      const std::filesystem::path c_path = dir / "tvmbo_kernel.c";
+      const std::filesystem::path so_path = dir / "tvmbo_kernel.so";
+      const std::filesystem::path log_path = dir / "tvmbo_kernel.log";
+      write_text(c_path, texts[v]);
+      EXPECT_EQ(run_compiler(compiler, flags, so_path.string(),
+                             c_path.string(), log_path.string()),
+                "")
+          << c.name << ": " << read_bytes(log_path);
+      objects[v] = read_bytes(so_path);
+    }
+    EXPECT_FALSE(objects[0].empty()) << c.name;
+    EXPECT_TRUE(objects[0] == objects[1])
+        << c.name << " built with '" << flags << "' differs:\n" << source;
+  }
+  for (const char* used :
+       {"INFINITY", "sqrt(", "exp(", "log(", "fabs(", "tvmbo_ffdiv(",
+        "tvmbo_ffmod(", "tvmbo_fdiv(", "tvmbo_fmod(", "calloc(", "free(",
+        "abort()", "#pragma omp simd"}) {
+    EXPECT_NE(bodies.find(used), std::string::npos) << used;
+  }
+}
+
 TEST(JitProgram, CompilesRunsAndMatchesInterpreter) {
   const JitOptions options = test_options("basic");
   if (!JitProgram::toolchain_available(options)) {
     GTEST_SKIP() << "no C toolchain";
   }
   kernels::GemmTensors t = kernels::make_gemm(6, 7, 5);
-  const te::Stmt stmt =
-      te::lower(kernels::schedule_gemm(t, 3, 4));
+  const BuiltKernel built = expect_gemm_matches_interpreter(
+      t, te::lower(kernels::schedule_gemm(t, 3, 4)), options);
+  EXPECT_FALSE(built.source.empty());
+  EXPECT_FALSE(built.artifact_path.empty());
+}
 
-  runtime::NDArray a({6, 5}), b({5, 7}), c_jit({6, 7}), c_ref({6, 7});
-  for (std::int64_t i = 0; i < a.num_elements(); ++i) {
-    a.f64()[i] = 0.25 * static_cast<double>(i % 11) - 1.0;
+TEST(JitProgram, OneCompileProvesToolchainAndSimd) {
+  // Both verdicts come from one probe compile per (compiler, flags, cache
+  // dir). The directory is unique per process: probe verdicts are
+  // recorded for the process's lifetime.
+  const JitOptions options =
+      test_options("one-probe-" + std::to_string(::getpid()));
+  ArtifactCache& cache = ArtifactCache::shared(options);
+  cache.reset_stats();
+  if (!JitProgram::toolchain_available(options)) {
+    GTEST_SKIP() << "no C toolchain";
   }
-  for (std::int64_t i = 0; i < b.num_elements(); ++i) {
-    b.f64()[i] = 0.5 * static_cast<double>(i % 7) - 1.5;
+  JitProgram::simd_available(options);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  std::filesystem::remove_all(options.cache_dir);
+}
+
+TEST(JitProgram, SimdProbeFallsBackWhenFlagRejected) {
+  const JitOptions base = test_options("simd-fallback-base");
+  if (!JitProgram::toolchain_available(base)) {
+    GTEST_SKIP() << "no C toolchain";
   }
+  // A compiler that rejects -fopenmp-simd and otherwise runs the real one.
+  JitOptions options = test_options("simd-fallback");
+  std::filesystem::create_directories(options.cache_dir);
+  const std::filesystem::path wrapper =
+      std::filesystem::path(options.cache_dir) / "no-simd-cc";
+  write_text(wrapper,
+             "#!/bin/sh\n"
+             "for arg in \"$@\"; do\n"
+             "  if [ \"$arg\" = -fopenmp-simd ]; then\n"
+             "    echo 'unsupported option -fopenmp-simd' >&2; exit 1\n"
+             "  fi\n"
+             "done\n"
+             "exec " + base.resolved_compiler() + " \"$@\"\n");
+  std::filesystem::permissions(wrapper, std::filesystem::perms::owner_all);
+  options.compiler = wrapper.string();
 
-  JitProgram program = JitProgram::compile(
-      stmt, {{t.A, &a}, {t.B, &b}, {t.C, &c_jit}}, options);
-  program.run();
+  EXPECT_TRUE(JitProgram::toolchain_available(options));
+  EXPECT_FALSE(JitProgram::simd_available(options));
 
-  te::Interpreter interp;
-  interp.bind(t.A, &a);
-  interp.bind(t.B, &b);
-  interp.bind(t.C, &c_ref);
-  interp.run(stmt);
-
-  for (std::int64_t i = 0; i < c_ref.num_elements(); ++i) {
-    EXPECT_EQ(c_jit.f64()[i], c_ref.f64()[i]) << "element " << i;
-  }
-  EXPECT_FALSE(program.source().empty());
-  EXPECT_FALSE(program.artifact_path().empty());
+  // A vectorized kernel keeps its pragma, drops the flag, and still
+  // matches the interpreter.
+  kernels::GemmTensors t = kernels::make_gemm(6, 7, 5);
+  const BuiltKernel built = expect_gemm_matches_interpreter(
+      t,
+      te::lower(
+          kernels::schedule_gemm(t, 3, 4, /*par_axis=*/0, /*vec_axis=*/1)),
+      options);
+  EXPECT_NE(built.source.find("#pragma omp simd"), std::string::npos);
 }
 
 TEST(JitProgram, ValidatesBindings) {
@@ -291,8 +513,8 @@ TEST(ArtifactCache, SimdUnrollPackProduceDistinctKeysAndWarmHits) {
   hint2.unroll_factor = 2;
   hint4.unroll_factor = 4;
 
-  // Cold pass (the simd probe fires lazily on the first vectorized
-  // compile and costs a miss of its own, so it must precede the reset).
+  // Cold pass (the simd verdict came with the toolchain probe above, so
+  // the vectorized compile adds no probe miss of its own).
   std::vector<std::string> paths;
   paths.push_back(JitProgram::compile(serial, bindings, base)
                       .artifact_path());
@@ -334,6 +556,19 @@ TEST(ArtifactCache, SimdUnrollPackProduceDistinctKeysAndWarmHits) {
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.hits, 6u);
   EXPECT_EQ(stats.hit_rate(), 1.0);
+}
+
+TEST(ArtifactCache, CacheDirWithShellMetacharacters) {
+  if (!JitProgram::toolchain_available(test_options("shell-base"))) {
+    GTEST_SKIP() << "no C toolchain";
+  }
+  // The compiler gets its paths as single arguments: a space, a quote
+  // and a `$` in the cache directory reach it unchanged.
+  const JitOptions options = test_options("odd dir \"q\" $HOME");
+  kernels::GemmTensors t = kernels::make_gemm(6, 7, 5);
+  const BuiltKernel built = expect_gemm_matches_interpreter(
+      t, te::lower(kernels::schedule_gemm(t, 3, 4)), options);
+  EXPECT_EQ(built.artifact_path.rfind(options.cache_dir, 0), 0u);
 }
 
 TEST(ArtifactCache, CompileFailureReportsLog) {
