@@ -57,13 +57,15 @@ double Rng::uniform(double lo, double hi) {
 
 std::int64_t Rng::uniform_int(std::int64_t n) {
   TVMBO_CHECK_GT(n, 0) << "uniform_int requires positive bound";
-  // Rejection sampling to avoid modulo bias.
+  // Rejection sampling to avoid modulo bias. The limit is at least
+  // max() - bound + 1, so a draw at or below max() - bound is accepted
+  // without computing it (one 64-bit division saved on almost every call).
   const std::uint64_t bound = static_cast<std::uint64_t>(n);
-  const std::uint64_t limit = max() - max() % bound;
-  std::uint64_t draw;
-  do {
-    draw = (*this)();
-  } while (draw >= limit);
+  std::uint64_t draw = (*this)();
+  if (draw > max() - bound) {
+    const std::uint64_t limit = max() - max() % bound;
+    while (draw >= limit) draw = (*this)();
+  }
   return static_cast<std::int64_t>(draw % bound);
 }
 

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <exception>
-#include <memory>
+#include <utility>
+
+#include "common/logging.h"
 
 namespace tvmbo {
 
@@ -55,6 +59,137 @@ void ThreadPool::parallel_for(std::size_t count,
   });
 }
 
+// Shared with the helper tasks, which may outlive the Team: a helper that
+// starts after the team closed (or its stage was joined or withdrawn)
+// returns without touching `body` or the caller's frame. Claims and
+// completions go through one mutex; an item (a tree, a chunk of rows) is
+// long enough that the lock is never hot.
+struct ThreadPool::Team::State {
+  static constexpr std::chrono::microseconds kSpin{100};
+
+  std::mutex mutex;
+  std::condition_variable work;      ///< helpers: items published, or closed
+  std::condition_variable finished;  ///< caller: no claimed item in flight
+  const Body* body = nullptr;
+  std::size_t count = 0;    ///< items published
+  std::size_t next = 0;     ///< first unclaimed item
+  std::size_t done = 0;     ///< items finished
+  std::size_t arrived = 0;  ///< helpers started, for participant ids
+  std::exception_ptr error;
+  bool closed = false;
+  /// Bumped whenever items are published or the team closes, for helpers
+  /// that yield without holding the lock.
+  std::atomic<std::uint64_t> epoch{0};
+
+  /// Claims and runs item `next` under `lock`, which is held again on
+  /// return.
+  void run_next(std::unique_lock<std::mutex>& lock, std::size_t participant) {
+    const std::size_t item = next++;
+    const Body& fn = *body;
+    lock.unlock();
+    std::exception_ptr thrown;
+    try {
+      fn(item, participant);
+    } catch (...) {
+      thrown = std::current_exception();
+    }
+    lock.lock();
+    if (thrown && !error) error = std::move(thrown);
+    if (++done == next) finished.notify_all();
+  }
+
+  void help() {
+    std::unique_lock<std::mutex> lock(mutex);
+    const std::size_t participant = ++arrived;
+    while (!closed) {
+      if (next < count) {
+        run_next(lock, participant);
+        continue;
+      }
+      // More items usually follow within about one item's time (the plan
+      // is being built, or the last items finish before the next stage),
+      // while a parked thread can take hundreds of microseconds to wake:
+      // yield for a bounded while before sleeping.
+      const std::uint64_t seen = epoch.load(std::memory_order_relaxed);
+      lock.unlock();
+      const auto deadline = std::chrono::steady_clock::now() + kSpin;
+      while (epoch.load(std::memory_order_acquire) == seen &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      lock.lock();
+      work.wait(lock, [this] { return closed || next < count; });
+    }
+  }
+};
+
+ThreadPool::Team::Team(ThreadPool& pool, std::size_t helpers)
+    : state_(std::make_shared<State>()),
+      helpers_(pool.in_worker_thread()
+                   ? 0
+                   : std::min(helpers, pool.num_threads())) {
+  if (helpers_ > 0) {
+    pool.enqueue([state = state_] { state->help(); }, helpers_);
+  }
+}
+
+ThreadPool::Team::~Team() {
+  State& s = *state_;
+  {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    s.closed = true;
+    s.epoch.fetch_add(1, std::memory_order_release);
+  }
+  s.work.notify_all();
+}
+
+ThreadPool::Team::Stage ThreadPool::Team::publish(std::size_t count,
+                                                  const Body& fn) {
+  State& s = *state_;
+  {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    TVMBO_CHECK(s.done == s.count) << "Team::publish before join";
+    s.body = &fn;
+    s.count = count;
+    s.next = 0;
+    s.done = 0;
+    s.epoch.fetch_add(1, std::memory_order_release);
+  }
+  if (helpers_ > 0) s.work.notify_all();
+  return Stage(&s, helpers_ > 0);
+}
+
+void ThreadPool::Team::Stage::extend(std::size_t count) {
+  State& s = *state_;
+  {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    TVMBO_CHECK_GE(count, s.count) << "Stage::extend cannot withdraw items";
+    s.count = count;
+    s.epoch.fetch_add(1, std::memory_order_release);
+  }
+  if (wake_) s.work.notify_all();
+}
+
+void ThreadPool::Team::Stage::join() {
+  State& s = *state_;
+  std::unique_lock<std::mutex> lock(s.mutex);
+  joined_ = true;
+  while (s.next < s.count) s.run_next(lock, 0);
+  // Every item is claimed by now; wait for the ones helpers started
+  // (never for a queued helper) before the frame holding the body unwinds.
+  s.finished.wait(lock, [&s] { return s.done == s.count; });
+  if (s.error) std::rethrow_exception(std::exchange(s.error, nullptr));
+}
+
+ThreadPool::Team::Stage::~Stage() {
+  if (joined_) return;
+  State& s = *state_;
+  std::unique_lock<std::mutex> lock(s.mutex);
+  s.count = s.next;
+  s.finished.wait(lock, [&s] { return s.done == s.next; });
+  s.error = nullptr;
+}
+
 void ThreadPool::parallel_for_chunks(
     std::size_t count, std::size_t max_chunks,
     const std::function<void(std::size_t, std::size_t)>& fn) {
@@ -67,44 +202,13 @@ void ThreadPool::parallel_for_chunks(
     fn(0, count);
     return;
   }
-
-  // Shared with the helper tasks, which may outlive this call: a helper
-  // that starts after every chunk was claimed sees the cursor exhausted
-  // and returns without touching `fn` or this frame.
-  struct Shared {
-    std::atomic<std::size_t> cursor{0};
-    std::mutex mutex;
-    std::condition_variable finished;
-    std::size_t done = 0;
-    std::exception_ptr error;
-  };
-  auto shared = std::make_shared<Shared>();
   const std::size_t base = count / chunks;
   const std::size_t extra = count % chunks;
-  const auto* body = &fn;
-  auto run_claimed = [shared, chunks, base, extra, body] {
-    for (std::size_t c = shared->cursor.fetch_add(1); c < chunks;
-         c = shared->cursor.fetch_add(1)) {
-      const std::size_t begin = c * base + std::min(c, extra);
-      const std::size_t end = begin + base + (c < extra ? 1 : 0);
-      std::exception_ptr error;
-      try {
-        (*body)(begin, end);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(shared->mutex);
-      if (error && !shared->error) shared->error = std::move(error);
-      if (++shared->done == chunks) shared->finished.notify_all();
-    }
-  };
-  enqueue(run_claimed, chunks - 1);
-  run_claimed();
-  // Every chunk is claimed by now; wait for the ones workers started
-  // (never for a queued helper) before the frame holding `fn` unwinds.
-  std::unique_lock<std::mutex> lock(shared->mutex);
-  shared->finished.wait(lock, [&] { return shared->done == chunks; });
-  if (shared->error) std::rethrow_exception(shared->error);
+  Team team(*this, chunks - 1);
+  team.run(chunks, [&](std::size_t c, std::size_t) {
+    const std::size_t begin = c * base + std::min(c, extra);
+    fn(begin, begin + base + (c < extra ? 1 : 0));
+  });
 }
 
 void ThreadPool::enqueue(const std::function<void()>& task,

@@ -4,13 +4,14 @@
 // candidate scoring inside ytopt's ask, and for parallel loops of the
 // closure backend.
 //
-// parallel_for / parallel_for_chunks are caller-participating: the calling
-// thread claims chunks from a shared atomic cursor alongside the workers
-// and waits only for chunks a worker has already started. When every
-// worker is busy (e.g. with in-flight measurements queued by an async
-// MeasureRunner) the caller simply runs all chunks itself instead of
-// queueing behind unrelated tasks; the helper tasks it queued later find
-// the cursor exhausted and return without touching the caller's state.
+// Parallel work is caller-participating (ThreadPool::Team, with
+// parallel_for / parallel_for_chunks as its one-shot clients): the calling
+// thread claims items alongside the workers and waits only for items a
+// worker has already started. When every worker is busy (e.g. with
+// in-flight measurements queued by an async MeasureRunner) the caller
+// simply runs all items itself instead of queueing behind unrelated tasks;
+// the helper tasks it queued later find the team closed and return without
+// touching the caller's state.
 //
 // The design follows the Core Guidelines concurrency advice: the pool owns
 // its threads (RAII join in the destructor), tasks communicate results via
@@ -22,6 +23,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -55,11 +57,79 @@ class ThreadPool {
     return future;
   }
 
+  /// Start/join form of the caller-participating protocol: a parallel
+  /// region whose master is the calling thread. Constructing a Team queues
+  /// its helper tasks at once, so workers wake while the caller still
+  /// prepares the work; a started helper waits until items are published
+  /// or the team closes (yielding for up to 100 µs, then asleep).
+  /// publish() hands the helpers fn(item, participant) for item in
+  /// [0, count), claimed one at a time, and returns a Stage; the caller may
+  /// do other work until Stage::join(), where it claims the items left and
+  /// waits only for items a helper has started, never for a helper still
+  /// queued. A team may publish again after each join. `participant` is 0
+  /// on the caller and 1..participants()-1 on helpers, so scratch sized
+  /// before publish can be indexed by it without locking. Destroying the
+  /// team releases waiting helpers; a helper that starts later returns
+  /// without touching published work.
+  class Team {
+    struct State;
+
+   public:
+    using Body = std::function<void(std::size_t item, std::size_t participant)>;
+
+    /// One publish's items. Declared after everything its body uses, so
+    /// on an unwind before join() its destructor runs first: it withdraws
+    /// the items nobody claimed and waits for the ones helpers started.
+    class [[nodiscard]] Stage {
+     public:
+      Stage(const Stage&) = delete;
+      Stage& operator=(const Stage&) = delete;
+      ~Stage();
+
+      /// Publishes items [published, count) too, for a caller that
+      /// prepares items one at a time.
+      void extend(std::size_t count);
+      /// Runs the published items nobody claimed on the calling thread,
+      /// waits for the items helpers started, and rethrows the first
+      /// exception any item threw.
+      void join();
+
+     private:
+      friend class Team;
+      Stage(State* state, bool wake) : state_(state), wake_(wake) {}
+
+      State* state_;
+      bool wake_;
+      bool joined_ = false;
+    };
+
+    /// Queues up to `helpers` helper tasks (at most num_threads()); none
+    /// when called from inside one of the pool's workers, so the caller
+    /// runs every item inline.
+    Team(ThreadPool& pool, std::size_t helpers);
+    ~Team();
+
+    Team(const Team&) = delete;
+    Team& operator=(const Team&) = delete;
+
+    /// The caller plus the helpers queued.
+    std::size_t participants() const { return helpers_ + 1; }
+
+    /// Publishes items [0, count) of `fn`, which must outlive the Stage.
+    /// The previous stage must have been joined.
+    Stage publish(std::size_t count, const Body& fn);
+    void run(std::size_t count, const Body& fn) { publish(count, fn).join(); }
+
+   private:
+    std::shared_ptr<State> state_;
+    std::size_t helpers_;
+  };
+
   /// Runs fn(i) for i in [0, count) across the pool and the calling
   /// thread and blocks until all complete. Work is split into at most
-  /// num_threads() contiguous chunks (not one task per item), claimed
-  /// through a shared cursor; the caller runs chunks itself and waits only
-  /// for chunks a worker has started, so it never queues behind unrelated
+  /// num_threads() contiguous chunks (not one task per item) and run as
+  /// one Team pass; the caller runs chunks itself and waits only for
+  /// chunks a worker has started, so it never queues behind unrelated
   /// pool tasks. Every claimed chunk finishes before the call returns or
   /// throws; the first exception recorded is then rethrown. Calls from
   /// inside a worker thread run inline, in order.

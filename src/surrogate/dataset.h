@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -24,9 +25,13 @@ struct Dataset {
 /// Encodes a configuration as surrogate features. Each parameter
 /// contributes two features: its normalized position in the domain
 /// (ordinal locality) and log2(1 + |value|) (magnitude, which is what
-/// matters for tile sizes spanning 1..2400).
+/// matters for tile sizes spanning 1..2400). Both features of every index
+/// of a discrete parameter (up to kMaxTableIndices of them) are computed
+/// once, at construction, so the space must be complete by then.
 class FeatureEncoder {
  public:
+  static constexpr std::uint64_t kMaxTableIndices = 4096;
+
   explicit FeatureEncoder(const cs::ConfigurationSpace* space);
 
   std::size_t num_features() const;
@@ -35,7 +40,22 @@ class FeatureEncoder {
   void encode(const cs::Configuration& config, std::span<double> out) const;
 
  private:
+  static constexpr std::size_t kNoTable = SIZE_MAX;
+
+  /// The two features of `param` at `index`, or at the real value `real`
+  /// for a continuous parameter.
+  static void features_of(const cs::Hyperparameter& param,
+                          std::int64_t index, double real, double* out);
+
   const cs::ConfigurationSpace* space_;
+  /// Per parameter, where its (position, magnitude) pairs start in
+  /// table_: kNoTable when continuous or over kMaxTableIndices indices.
+  struct Column {
+    std::size_t offset = kNoTable;
+    std::uint64_t indices = 0;
+  };
+  std::vector<Column> columns_;
+  std::vector<double> table_;
 };
 
 }  // namespace tvmbo::surrogate

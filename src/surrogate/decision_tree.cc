@@ -57,9 +57,17 @@ void DecisionTree::fit(const FeatureColumns& columns,
     TVMBO_CHECK(rng != nullptr)
         << "random feature subsetting requires an Rng";
   }
-  nodes_.clear();
-  Build ctx{columns, y, rng, scratch};
+  // Build into locals (the node storage moved out of the tree and back,
+  // the stream copied in and out): a forest builds neighbouring trees on
+  // different threads, and writing their adjacent members node by node
+  // would bounce the shared cache lines between cores.
+  std::vector<Node> nodes = std::move(nodes_);
+  nodes.clear();
+  Rng stream = rng != nullptr ? *rng : Rng();
+  Build ctx{columns, y, rng != nullptr ? &stream : nullptr, scratch, nodes};
   build(ctx, rows, 0);
+  nodes_ = std::move(nodes);
+  if (rng != nullptr) *rng = stream;
 }
 
 void DecisionTree::reserve_nodes(std::span<const std::uint32_t> rows,
@@ -94,9 +102,10 @@ int DecisionTree::build(Build& ctx, std::span<std::uint32_t> rows,
   const double node_var =
       sum_sq / static_cast<double>(count) - node_mean * node_mean;
 
+  std::vector<Node>& nodes = ctx.nodes;
   auto make_leaf = [&]() -> int {
-    nodes_.push_back(Node{.value = node_mean});
-    return static_cast<int>(nodes_.size()) - 1;
+    nodes.push_back(Node{.value = node_mean});
+    return static_cast<int>(nodes.size()) - 1;
   };
 
   if (depth >= options_.max_depth ||
@@ -176,11 +185,11 @@ int DecisionTree::build(Build& ctx, std::span<std::uint32_t> rows,
   TVMBO_CHECK(split > 0 && split < count)
       << "degenerate partition in tree build";
 
-  const int node_index = static_cast<int>(nodes_.size());
-  nodes_.push_back(Node{.value = best_threshold, .feature = best_feature});
+  const int node_index = static_cast<int>(nodes.size());
+  nodes.push_back(Node{.value = best_threshold, .feature = best_feature});
   build(ctx, rows.first(split), depth + 1);
   const int right = build(ctx, rows.subspan(split), depth + 1);
-  nodes_[static_cast<std::size_t>(node_index)].right = right;
+  nodes[static_cast<std::size_t>(node_index)].right = right;
   return node_index;
 }
 

@@ -111,6 +111,7 @@ class DecisionTree {
     std::span<const double> y;
     Rng* rng;
     TreeScratch& scratch;
+    std::vector<Node>& nodes;
   };
 
   int build(Build& ctx, std::span<std::uint32_t> rows, int depth);

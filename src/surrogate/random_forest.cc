@@ -1,13 +1,11 @@
 #include "surrogate/random_forest.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace tvmbo::surrogate {
 
@@ -18,10 +16,29 @@ RandomForest::RandomForest(ForestOptions options) : options_(options) {
       << "bootstrap_fraction must be in (0, 1]";
 }
 
+std::size_t RandomForest::helpers() const {
+  if (!options_.parallel_fit) return 0;
+  return std::min(static_cast<std::size_t>(options_.num_trees),
+                  default_thread_pool().num_threads()) -
+         1;
+}
+
 void RandomForest::fit(const Dataset& data, Rng& rng) {
+  std::vector<Prediction> none;
+  fit_and_score([&data]() -> const Dataset& { return data; }, rng, {}, none);
+}
+
+void RandomForest::fit_and_score(
+    const std::function<const Dataset&()>& make_data, Rng& rng,
+    const std::function<std::span<const double>()>& draw,
+    std::vector<Prediction>& scores) {
+  // Wake first: a pool thread takes tens to hundreds of microseconds to
+  // start, which the helpers spend while the caller builds the plan.
+  ThreadPool::Team team(default_thread_pool(), helpers());
+  const Dataset& data = make_data();
   TVMBO_CHECK(!data.x.empty()) << "fit on empty dataset";
   trees_.clear();
-  trees_.reserve(static_cast<std::size_t>(options_.num_trees));
+  num_features_ = data.num_features();
 
   TreeOptions tree_options = options_.tree;
   if (options_.max_features == 0) {
@@ -42,18 +59,38 @@ void RandomForest::fit(const Dataset& data, Rng& rng) {
                        std::llround(options_.bootstrap_fraction *
                                     static_cast<double>(n))));
 
-  // Derive every tree's independent RNG stream and bootstrap rows up
-  // front, so the fit is deterministic whether trees are built serially or
-  // on the pool (each stream draws its bootstrap before any feature
-  // shuffle, as a per-tree serial fit would).
   const auto num_trees = static_cast<std::size_t>(options_.num_trees);
-  std::vector<Rng> streams;
-  streams.reserve(num_trees);
-  for (std::size_t t = 0; t < num_trees; ++t) streams.push_back(rng.split());
-  std::vector<std::uint32_t> rows(num_trees * sample_size);
+  std::vector<Rng> streams(num_trees);
+  // Each tree's rows are padded to a multiple of 64 bytes: builds
+  // partition them in place, neighbouring trees on different threads.
+  const std::size_t stride = (sample_size + 15) / 16 * 16;
+  std::vector<std::uint32_t> rows(num_trees * stride);
   trees_.assign(num_trees, DecisionTree(tree_options));
+
+  // One feature-major copy shared by every tree; one scratch slot per
+  // participant.
+  const FeatureColumns columns(data);
+  std::vector<TreeScratch> scratch;
+  scratch.reserve(team.participants());
+  for (std::size_t p = 0; p < team.participants(); ++p) {
+    scratch.emplace_back(sample_size, columns.num_features());
+  }
+  const ThreadPool::Team::Body build = [&](std::size_t t, std::size_t p) {
+    trees_[t].fit(columns, data.y,
+                  {rows.data() + t * stride, sample_size}, &streams[t],
+                  scratch[p]);
+  };
+  // Plan each tree on the caller and publish it at once, so helpers build
+  // while the caller plans the rest and then draws the pool. A tree's plan
+  // is its own RNG stream, split off `rng` in tree order (so the fit is
+  // deterministic whether trees are built serially or on the pool, and
+  // every split precedes draw()), its bootstrap rows, drawn from the
+  // stream before any feature shuffle as a serial fit would, and its node
+  // storage (allocations stay on the caller).
+  ThreadPool::Team::Stage trees = team.publish(0, build);
   for (std::size_t t = 0; t < num_trees; ++t) {
-    const std::span<std::uint32_t> tree_rows(rows.data() + t * sample_size,
+    streams[t] = rng.split();
+    const std::span<std::uint32_t> tree_rows(rows.data() + t * stride,
                                              sample_size);
     if (options_.bootstrap) {
       for (std::uint32_t& row : tree_rows) {
@@ -64,33 +101,42 @@ void RandomForest::fit(const Dataset& data, Rng& rng) {
       std::iota(tree_rows.begin(), tree_rows.end(), std::uint32_t{0});
     }
     trees_[t].reserve_nodes(tree_rows, n);
+    trees.extend(t + 1);
   }
+  const std::span<const double> features =
+      draw ? draw() : std::span<const double>{};
+  trees.join();
+  score_on(team, features, scores);
+}
 
-  // One feature-major copy shared by every tree; one scratch slot per
-  // chunk, claimed by the chunk that runs on it.
-  const FeatureColumns columns(data);
-  ThreadPool& pool = default_thread_pool();
-  const std::size_t slots =
-      options_.parallel_fit ? std::min(num_trees, pool.num_threads()) : 1;
-  std::vector<TreeScratch> scratch;
-  scratch.reserve(slots);
-  for (std::size_t s = 0; s < slots; ++s) {
-    scratch.emplace_back(sample_size, columns.num_features());
-  }
-  std::atomic<std::size_t> next_slot{0};
-  auto fit_range = [&](std::size_t begin, std::size_t end) {
-    TreeScratch& own = scratch[next_slot.fetch_add(1)];
-    for (std::size_t t = begin; t < end; ++t) {
-      trees_[t].fit(columns, data.y,
-                    {rows.data() + t * sample_size, sample_size},
-                    &streams[t], own);
-    }
-  };
-  if (slots > 1) {
-    pool.parallel_for_chunks(num_trees, slots, fit_range);
-  } else {
-    fit_range(0, num_trees);
-  }
+void RandomForest::score(std::span<const double> features,
+                         std::vector<Prediction>& scores) const {
+  ThreadPool::Team team(default_thread_pool(), helpers());
+  score_on(team, features, scores);
+}
+
+void RandomForest::score_on(ThreadPool::Team& team,
+                            std::span<const double> features,
+                            std::vector<Prediction>& scores) const {
+  TVMBO_CHECK(fitted()) << "predict before fit";
+  scores.clear();
+  if (features.empty()) return;
+  const std::size_t width = num_features_;
+  TVMBO_CHECK(width > 0 && features.size() % width == 0)
+      << "feature matrix is not rows of the fitted dataset's columns";
+  const std::size_t count = features.size() / width;
+  scores.resize(count);
+  // Per row the sums run over the trees in order, so any chunking gives
+  // predict_batch's bits.
+  const std::size_t chunks = std::min(count, team.participants());
+  const std::size_t base = count / chunks;
+  const std::size_t extra = count % chunks;
+  team.run(chunks, [&](std::size_t c, std::size_t) {
+    const std::size_t begin = c * base + std::min(c, extra);
+    const std::size_t rows = base + (c < extra ? 1 : 0);
+    predict_batch(features.subspan(begin * width, rows * width),
+                  std::span(scores).subspan(begin, rows));
+  });
 }
 
 void RandomForest::predict_batch(std::span<const double> features,

@@ -1,7 +1,9 @@
 #include "tuners/xgb_tuner.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.h"
 
@@ -53,6 +55,46 @@ std::vector<cs::Configuration> XgbTuner::propose_random(std::size_t n) {
   return batch;
 }
 
+namespace {
+
+/// Open-addressing index from Configuration::hash (the tuners' dedup
+/// identity, as in the visited set) to what one annealing batch knows of
+/// a configuration: its energy, and whether it is in the pool. Sized once
+/// for every state a batch can score, so it never grows or rehashes.
+class AnnealIndex {
+ public:
+  struct Entry {
+    std::uint64_t hash = 0;
+    double energy = 0.0;
+    bool used = false;
+    bool pooled = false;
+  };
+
+  explicit AnnealIndex(std::size_t max_entries)
+      : slots_(std::bit_ceil(max_entries + max_entries / 2 + 2)),
+        shift_(64 - std::countr_zero(slots_.size())) {}
+
+  /// The entry of `hash`, claimed (used == false on return) when new.
+  Entry& find(std::uint64_t hash) {
+    const std::size_t mask = slots_.size() - 1;
+    // Fibonacci hashing spreads the hash's high bits over the table.
+    for (std::size_t i = (hash * 0x9E3779B97F4A7C15ull) >> shift_;;
+         i = (i + 1) & mask) {
+      Entry& entry = slots_[i];
+      if (!entry.used || entry.hash == hash) {
+        entry.hash = hash;
+        return entry;
+      }
+    }
+  }
+
+ private:
+  std::vector<Entry> slots_;
+  int shift_;
+};
+
+}  // namespace
+
 std::vector<cs::Configuration> XgbTuner::propose_by_model(std::size_t n) {
   // Simulated-annealing walk scored by the cost model: chains start from
   // random points plus perturbations of the best measured configs.
@@ -60,8 +102,19 @@ std::vector<cs::Configuration> XgbTuner::propose_by_model(std::size_t n) {
     cs::Configuration state;
     double energy;  // predicted log-runtime
   };
+  // Chains keep revisiting the same states, and a state's energy is a
+  // pure function of its features: score each distinct state once per
+  // batch, encoding into one reused buffer.
+  AnnealIndex index(options_.sa_chains * (options_.sa_iterations + 1));
+  std::vector<double> features(encoder_.num_features());
   auto energy_of = [&](const cs::Configuration& config) {
-    return model_.predict(encoder_.encode(config));
+    AnnealIndex::Entry& entry = index.find(config.hash());
+    if (!entry.used) {
+      encoder_.encode(config, features);
+      entry.energy = model_.predict(features);
+      entry.used = true;
+    }
+    return entry.energy;
   };
 
   std::vector<Chain> chains;
@@ -82,13 +135,14 @@ std::vector<cs::Configuration> XgbTuner::propose_by_model(std::size_t n) {
     chains.push_back({start, energy_of(start)});
   }
 
-  // Track the best distinct unvisited states seen along all chains.
+  // Track the best distinct unvisited states seen along all chains. An
+  // offered state was scored, so its entry exists.
   std::vector<Chain> pool;
   auto offer = [&](const cs::Configuration& config, double energy) {
     if (is_visited(config)) return;
-    for (const Chain& existing : pool) {
-      if (existing.state == config) return;
-    }
+    AnnealIndex::Entry& entry = index.find(config.hash());
+    if (entry.pooled) return;
+    entry.pooled = true;
     pool.push_back({config, energy});
   };
   for (Chain& chain : chains) offer(chain.state, chain.energy);

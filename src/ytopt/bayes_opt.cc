@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace tvmbo::ytopt {
 
@@ -39,17 +38,17 @@ cs::Configuration BayesianOptimizer::sample_unvisited() {
   return space_->sample(rng_);
 }
 
-void BayesianOptimizer::refit() {
+double BayesianOptimizer::worst_valid_runtime() const {
   double worst = 0.0;
   for (const tuners::Trial& trial : history_) {
     if (trial.valid && trial.runtime_s > 0.0) {
       worst = std::max(worst, trial.runtime_s);
     }
   }
-  // No valid measurement yet: an all-imputed constant dataset would
-  // anchor the forest at an arbitrary level — stay in the random design
-  // until a real runtime lands.
-  if (worst <= 0.0) return;
+  return worst;
+}
+
+surrogate::Dataset BayesianOptimizer::surrogate_data(double worst) const {
   // Failed measurements are informative: penalize, don't discard
   // (skopt-style imputation with a value worse than anything seen). The
   // penalty is scale-relative — an absolute floor (1 s) is ~6 orders of
@@ -68,9 +67,7 @@ void BayesianOptimizer::refit() {
   for (const cs::Configuration& config : pending_) {
     data.add(encoder_.encode(config), std::log(worst));
   }
-  if (data.size() < 2) return;
-  forest_.fit(data, rng_);
-  fitted_on_ = history_.size();
+  return data;
 }
 
 surrogate::Prediction BayesianOptimizer::predict(
@@ -145,18 +142,88 @@ std::vector<cs::Configuration> BayesianOptimizer::propose(std::size_t n) {
     random_fill();
     return batch;
   }
-  if (!forest_.fitted() ||
-      history_.size() >= fitted_on_ + options_.refit_interval) {
-    refit();
-  }
-  if (!forest_.fitted()) {
+  // Refit when due. With no valid measurement yet an all-imputed constant
+  // dataset would anchor the forest at an arbitrary level, so stay in the
+  // random design until a real runtime lands.
+  const bool refit_due =
+      !forest_.fitted() ||
+      history_.size() >= fitted_on_ + options_.refit_interval;
+  const double worst = refit_due ? worst_valid_runtime() : 0.0;
+  const bool refit =
+      worst > 0.0 && history_.size() + pending_.size() >= 2;
+  if (!refit && !forest_.fitted()) {
     random_fill();
     return batch;
   }
 
   // Candidate pool: mostly uniform exploration, plus neighbours of the
-  // best configurations seen (local exploitation).
+  // best configurations seen (local exploitation). The pool is drawn with
+  // replacement, so each distinct configuration is encoded once into a
+  // row-major matrix and scored once; duplicates take their first
+  // occurrence's score. On a refit the pool is drawn while pool threads
+  // build the trees.
   std::vector<cs::Configuration> candidates;
+  std::vector<std::size_t> distinct_of;
+  std::vector<double> features;
+  auto draw = [&]() -> std::span<const double> {
+    draw_candidates(candidates);
+    const std::size_t width = encoder_.num_features();
+    distinct_of.resize(candidates.size());
+    features.reserve(candidates.size() * width);
+    std::unordered_map<std::uint64_t, std::size_t> first;
+    first.reserve(candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const auto [it, inserted] =
+          first.try_emplace(candidates[i].hash(), first.size());
+      if (inserted) {
+        features.resize(features.size() + width);
+        encoder_.encode(candidates[i], std::span(features).last(width));
+      }
+      distinct_of[i] = it->second;
+    }
+    return features;
+  };
+  std::vector<surrogate::Prediction> preds;
+  if (refit) {
+    surrogate::Dataset data;
+    forest_.fit_and_score(
+        [&]() -> const surrogate::Dataset& {
+          data = surrogate_data(worst);
+          return data;
+        },
+        rng_, draw, preds);
+    fitted_on_ = history_.size();
+  } else {
+    forest_.score(draw(), preds);
+  }
+  if (candidates.empty()) {
+    random_fill();
+    return batch;
+  }
+
+  // qLCB: rank the whole pool by the acquisition and take the n best
+  // distinct candidates (multi-point generalization of the single pick).
+  std::vector<std::pair<double, std::size_t>> scored;
+  scored.reserve(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const surrogate::Prediction& pred = preds[distinct_of[i]];
+    scored.emplace_back(pred.mean - options_.kappa * pred.std, i);
+  }
+  std::sort(scored.begin(), scored.end());
+  for (const auto& [lcb, index] : scored) {
+    if (batch.size() >= n) break;
+    cs::Configuration config = candidates[index];
+    if (mark_visited(config)) {
+      remember_pending(config);
+      batch.push_back(std::move(config));
+    }
+  }
+  if (batch.size() < n) random_fill();
+  return batch;
+}
+
+void BayesianOptimizer::draw_candidates(
+    std::vector<cs::Configuration>& candidates) {
   candidates.reserve(options_.candidates_per_iteration);
   const auto num_local = static_cast<std::size_t>(
       options_.local_fraction *
@@ -212,55 +279,6 @@ std::vector<cs::Configuration> BayesianOptimizer::propose(std::size_t n) {
       ++rejected;
     }
   }
-  if (candidates.empty()) {
-    random_fill();
-    return batch;
-  }
-
-  // qLCB: rank the whole pool by the acquisition and take the n best
-  // distinct candidates (multi-point generalization of the single pick).
-  // The pool is drawn with replacement, so each distinct configuration is
-  // encoded once into a row-major matrix and scored once, in parallel
-  // chunks; duplicates take their first occurrence's score.
-  const std::size_t width = encoder_.num_features();
-  std::vector<std::size_t> distinct_of(candidates.size());
-  std::vector<double> features;
-  features.reserve(candidates.size() * width);
-  std::unordered_map<std::uint64_t, std::size_t> first;
-  first.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const auto [it, inserted] =
-        first.try_emplace(candidates[i].hash(), first.size());
-    if (inserted) {
-      features.resize(features.size() + width);
-      encoder_.encode(candidates[i], std::span(features).last(width));
-    }
-    distinct_of[i] = it->second;
-  }
-  std::vector<surrogate::Prediction> preds(first.size());
-  default_thread_pool().parallel_for_chunks(
-      preds.size(), 0, [&](std::size_t begin, std::size_t end) {
-        forest_.predict_batch(
-            std::span(features).subspan(begin * width, (end - begin) * width),
-            std::span(preds).subspan(begin, end - begin));
-      });
-  std::vector<std::pair<double, std::size_t>> scored;
-  scored.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const surrogate::Prediction& pred = preds[distinct_of[i]];
-    scored.emplace_back(pred.mean - options_.kappa * pred.std, i);
-  }
-  std::sort(scored.begin(), scored.end());
-  for (const auto& [lcb, index] : scored) {
-    if (batch.size() >= n) break;
-    cs::Configuration config = candidates[index];
-    if (mark_visited(config)) {
-      remember_pending(config);
-      batch.push_back(std::move(config));
-    }
-  }
-  if (batch.size() < n) random_fill();
-  return batch;
 }
 
 std::vector<cs::Configuration> BayesianOptimizer::next_batch(

@@ -95,7 +95,14 @@ class BayesianOptimizer final : public tuners::Tuner {
   std::size_t last_local_candidates() const { return last_local_; }
 
  private:
-  void refit();
+  double worst_valid_runtime() const;
+  /// The forest's training set: every trial (failures imputed at twice
+  /// the worst valid runtime) plus every pending configuration as a liar
+  /// at the worst valid runtime.
+  surrogate::Dataset surrogate_data(double worst) const;
+  /// Draws an ask's candidate pool: neighbours of the best trials, then
+  /// uniform samples, none of them visited.
+  void draw_candidates(std::vector<cs::Configuration>& candidates);
   cs::Configuration sample_unvisited();
   std::vector<cs::Configuration> propose(std::size_t n);
   void remember_pending(const cs::Configuration& config);

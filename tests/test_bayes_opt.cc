@@ -372,6 +372,78 @@ TEST(BayesOpt, GoldenTrajectory) {
   }
 }
 
+// One streaming session on the lu/large surface: warm_start and
+// seed_proposals first, then asks kept two deep before each tell (so every
+// refit carries a constant-liar row), a next_batch(4) every seventh step,
+// and a refit only every third tell. Returns the hash of every proposal.
+std::uint64_t streaming_trajectory_hash(std::uint64_t seed,
+                                        bool parallel_fit) {
+  const runtime::Workload workload =
+      kernels::make_workload("lu", kernels::Dataset::kLarge);
+  const cs::ConfigurationSpace space =
+      kernels::build_space("lu", workload.dims);
+  runtime::SwingSimDevice device(4046 + seed);
+  runtime::MeasureOption option;
+  option.repeat = 1;
+  auto measure = [&](const cs::Configuration& config) {
+    runtime::MeasureInput input;
+    input.workload = workload;
+    input.tiles = space.values_int(config);
+    return device.measure(input, option).runtime_s;
+  };
+  BoOptions options;
+  options.refit_interval = 3;
+  options.forest.parallel_fit = parallel_fit;
+  BayesianOptimizer bo(&space, seed, options);
+
+  Rng prior_rng(seed + 100);
+  std::vector<tuners::Trial> prior;
+  for (int i = 0; i < 6; ++i) {
+    const cs::Configuration config = space.sample(prior_rng);
+    prior.push_back({config, measure(config), i != 2});
+  }
+  bo.warm_start(prior);
+  // The first seed repeats a prior point and must be dropped.
+  bo.seed_proposals({prior[0].config, space.sample(prior_rng),
+                     space.sample(prior_rng)});
+
+  std::uint64_t hash = 0;
+  std::vector<cs::Configuration> flight;
+  for (int step = 0; step < 60; ++step) {
+    if (step % 7 == 6) {
+      for (const cs::Configuration& config : bo.next_batch(4)) {
+        hash = hash_combine(hash, config.hash());
+        bo.tell(config, measure(config));
+      }
+      continue;
+    }
+    flight.push_back(bo.ask());
+    hash = hash_combine(hash, flight.back().hash());
+    if (flight.size() == 2) {
+      bo.tell(flight.front(), measure(flight.front()));
+      flight.erase(flight.begin());
+    }
+  }
+  return hash;
+}
+
+TEST(BayesOpt, GoldenStreamingTrajectory) {
+  // Pins the streaming paths beyond GoldenTrajectory's strict ask/tell:
+  // liar rows, a refit interval, qLCB batches, warm start and transfer
+  // seeds. A serial forest fit must give the same proposals. The hashes
+  // come from the fit-then-predict implementation (separate refit, pool
+  // draw and scoring dispatches).
+  const std::uint64_t expected[] = {0x0ab90831e3903248ull,
+                                    0xf1e5d260557e8accull,
+                                    0x7d88a833a5e95d8full};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    EXPECT_EQ(streaming_trajectory_hash(seed, true), expected[seed - 1])
+        << "seed " << seed;
+    EXPECT_EQ(streaming_trajectory_hash(seed, false), expected[seed - 1])
+        << "seed " << seed << ", serial fit";
+  }
+}
+
 TEST(BayesOpt, InvalidOptionsThrow) {
   const auto space = paper_space();
   BoOptions bad;

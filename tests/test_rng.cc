@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 namespace tvmbo {
@@ -58,6 +60,28 @@ TEST(Rng, UniformIntTwoSidedInclusive) {
   EXPECT_EQ(seen.size(), 5u);
   EXPECT_TRUE(seen.contains(-2));
   EXPECT_TRUE(seen.contains(2));
+}
+
+TEST(Rng, UniformIntMatchesPlainRejectionSampling) {
+  // uniform_int skips computing the rejection limit for draws far below
+  // it; the results must equal plain rejection sampling draw for draw,
+  // including bounds large enough that draws are rejected.
+  for (const std::int64_t n :
+       {std::int64_t{1}, std::int64_t{7}, std::int64_t{100},
+        std::int64_t{1} << 40, (std::int64_t{3} << 61) + 5,
+        std::numeric_limits<std::int64_t>::max()}) {
+    Rng rng(42), reference(42);
+    const auto bound = static_cast<std::uint64_t>(n);
+    const std::uint64_t limit = Rng::max() - Rng::max() % bound;
+    for (int i = 0; i < 2000; ++i) {
+      std::uint64_t draw;
+      do {
+        draw = reference();
+      } while (draw >= limit);
+      ASSERT_EQ(rng.uniform_int(n), static_cast<std::int64_t>(draw % bound))
+          << "bound " << n << " draw " << i;
+    }
+  }
 }
 
 TEST(Rng, UniformIntRejectsNonPositiveBound) {

@@ -8,6 +8,7 @@
 
 #include "common/stats.h"
 #include "configspace/divisors.h"
+#include "kernels/polybench.h"
 #include "surrogate/gbt.h"
 #include "surrogate/random_forest.h"
 
@@ -187,6 +188,69 @@ TEST(RandomForest, BatchPredictIsBitIdenticalToPredictWithStd) {
   }
 }
 
+TEST(RandomForest, FitAndScoreMatchesFitThenPredictBatch) {
+  Rng rng(22);
+  const Dataset data = quadratic_dataset(80, rng);
+  // A pool with duplicate rows, as ytopt's with-replacement pool has.
+  std::vector<double> pool;
+  for (std::size_t i = 0; i < 50; ++i) {
+    if (i % 4 == 3) {
+      const double x0 = pool[(i / 2) * 2];
+      const double x1 = pool[(i / 2) * 2 + 1];
+      pool.push_back(x0);
+      pool.push_back(x1);
+    } else {
+      pool.push_back(rng.uniform());
+      pool.push_back(rng.uniform());
+    }
+  }
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const bool parallel : {true, false}) {
+    for (const bool empty : {false, true}) {
+      const std::span<const double> rows =
+          empty ? std::span<const double>{} : std::span<const double>(pool);
+      ForestOptions options{.num_trees = 24, .parallel_fit = parallel};
+      RandomForest reference(options);
+      Rng reference_rng(9);
+      reference.fit(data, reference_rng);
+      std::vector<Prediction> expected(rows.size() / 2);
+      reference.predict_batch(rows, expected);
+      // draw() runs after every split of the fit's generator.
+      const std::uint64_t after_fit = reference_rng();
+
+      RandomForest forest(options);
+      Rng fit_rng(9);
+      std::uint64_t at_draw = 0;
+      std::vector<Prediction> scores{Prediction{1.0, 1.0}};
+      forest.fit_and_score([&]() -> const Dataset& { return data; }, fit_rng,
+                           [&] {
+                             at_draw = fit_rng();
+                             return rows;
+                           },
+                           scores);
+      EXPECT_EQ(at_draw, after_fit);
+      ASSERT_EQ(scores.size(), expected.size());
+      for (std::size_t i = 0; i < scores.size(); ++i) {
+        EXPECT_EQ(bits(scores[i].mean), bits(expected[i].mean)) << "row " << i;
+        EXPECT_EQ(bits(scores[i].std), bits(expected[i].std)) << "row " << i;
+      }
+      // The forests themselves are identical too.
+      for (std::size_t i = 0; i + 2 <= pool.size(); i += 2) {
+        const std::span<const double> x(pool.data() + i, 2);
+        EXPECT_EQ(bits(forest.predict_with_std(x).std),
+                  bits(reference.predict_with_std(x).std));
+      }
+      // score() on the fitted forest gives predict_batch's bits as well.
+      std::vector<Prediction> rescored;
+      forest.score(rows, rescored);
+      ASSERT_EQ(rescored.size(), expected.size());
+      for (std::size_t i = 0; i < rescored.size(); ++i) {
+        EXPECT_EQ(bits(rescored[i].mean), bits(expected[i].mean));
+      }
+    }
+  }
+}
+
 TEST(RandomForest, FitEmptyThrows) {
   RandomForest forest;
   Rng rng(1);
@@ -271,6 +335,76 @@ TEST(FeatureEncoder, EncodesPositionAndMagnitude) {
   EXPECT_NEAR(features[1], std::log2(2.0), 1e-12);
   EXPECT_DOUBLE_EQ(features[2], 1.0);
   EXPECT_NEAR(features[3], std::log2(2001.0), 1e-12);
+}
+
+// The encoder's precomputed tables must give the formula's doubles: the
+// reference below is the per-call computation the tables replaced.
+void expect_tables_match_formula(const cs::ConfigurationSpace& space) {
+  const FeatureEncoder encoder(&space);
+  const cs::Configuration base = space.default_configuration();
+  std::vector<double> features(encoder.num_features());
+  auto check = [&](const cs::Configuration& config, std::size_t i) {
+    encoder.encode(config, features);
+    const cs::Hyperparameter& param = space.param(i);
+    const std::uint64_t card = param.cardinality();
+    const std::vector<double> values = space.values(config);
+    double position;
+    if (card > 1) {
+      position = static_cast<double>(config.index(i)) /
+                 static_cast<double>(card - 1);
+    } else if (card == 1) {
+      position = 0.0;
+    } else {
+      const auto& f =
+          static_cast<const cs::UniformFloatHyperparameter&>(param);
+      position = (config.real(i) - f.lower()) / (f.upper() - f.lower());
+    }
+    const double magnitude = std::log2(1.0 + std::fabs(values[i]));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(features[2 * i]),
+              std::bit_cast<std::uint64_t>(position))
+        << param.name() << " index " << config.index(i);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(features[2 * i + 1]),
+              std::bit_cast<std::uint64_t>(magnitude))
+        << param.name() << " index " << config.index(i);
+  };
+  for (std::size_t i = 0; i < space.num_params(); ++i) {
+    const std::uint64_t card = space.param(i).cardinality();
+    cs::Configuration config = base;
+    if (card == 0) {
+      const auto& f =
+          static_cast<const cs::UniformFloatHyperparameter&>(space.param(i));
+      for (int step = 0; step <= 16; ++step) {
+        config.set_real(i, f.lower() + (f.upper() - f.lower()) * step / 16);
+        check(config, i);
+      }
+      continue;
+    }
+    for (std::uint64_t index = 0; index < card; ++index) {
+      config.set_index(i, static_cast<std::int64_t>(index));
+      check(config, i);
+    }
+  }
+}
+
+TEST(FeatureEncoder, TablesMatchFormulaBitwise) {
+  for (const char* kernel : {"lu", "cholesky", "3mm"}) {
+    for (const kernels::Dataset size :
+         {kernels::Dataset::kLarge, kernels::Dataset::kExtraLarge}) {
+      SCOPED_TRACE(kernel);
+      expect_tables_match_formula(kernels::build_space(
+          kernel, kernels::make_workload(kernel, size).dims));
+    }
+  }
+  // A float parameter and an integer range too wide for a table use the
+  // formula directly.
+  cs::ConfigurationSpace mixed;
+  mixed.add(cs::tile_factor_param("P0", 2000));
+  mixed.add(std::make_shared<cs::UniformFloatHyperparameter>("alpha", -3.0,
+                                                             7.5));
+  mixed.add(std::make_shared<cs::UniformIntegerHyperparameter>(
+      "wide", -5, static_cast<std::int64_t>(
+                      FeatureEncoder::kMaxTableIndices) + 10));
+  expect_tables_match_formula(mixed);
 }
 
 }  // namespace

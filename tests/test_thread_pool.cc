@@ -9,6 +9,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 namespace tvmbo {
@@ -168,6 +169,20 @@ TEST(ThreadPool, CallerRunsAllChunksWhileWorkersAreBlocked) {
   });
   EXPECT_FALSE(off_caller.load());
   for (int hit : hits) EXPECT_EQ(hit, 1);
+  // A team's stage likewise finishes on the caller alone: every item runs
+  // as participant 0, including the items extend() publishes.
+  {
+    ThreadPool::Team team(pool, 2);
+    const ThreadPool::Team::Body body = [&](std::size_t i, std::size_t p) {
+      if (p != 0 || std::this_thread::get_id() != caller) off_caller = true;
+      ++hits[i];
+    };
+    ThreadPool::Team::Stage stage = team.publish(4, body);
+    stage.extend(hits.size());
+    stage.join();
+  }
+  EXPECT_FALSE(off_caller.load());
+  for (int hit : hits) EXPECT_EQ(hit, 2);
   release.count_down();
   for (auto& blocker : blockers) blocker.get();
   // The helper tasks queued behind the blockers now run as no-ops.
@@ -228,6 +243,112 @@ TEST(ThreadPool, ParallelForChunksPropagatesExceptions) {
                                  }
                                }),
       std::runtime_error);
+}
+
+TEST(ThreadPool, TeamOverlapsCallerWorkWithPublishedItems) {
+  // publish() returns at once; items published one at a time run on the
+  // helpers while the caller works, and each join is a barrier before the
+  // next stage. Participant ids index per-participant state without locks.
+  ThreadPool pool(4);
+  ThreadPool::Team team(pool, 3);
+  ASSERT_EQ(team.participants(), 4u);
+  std::vector<int> first(64, 0);
+  std::vector<std::size_t> per_participant(team.participants(), 0);
+  const ThreadPool::Team::Body fill = [&](std::size_t i, std::size_t p) {
+    ASSERT_LT(p, team.participants());
+    ++per_participant[p];
+    first[i] = static_cast<int>(i) + 1;
+  };
+  ThreadPool::Team::Stage stage = team.publish(0, fill);
+  for (std::size_t i = 1; i <= first.size(); ++i) stage.extend(i);
+  stage.join();
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i], static_cast<int>(i) + 1);
+  }
+  std::size_t total = 0;
+  for (std::size_t n : per_participant) total += n;
+  EXPECT_EQ(total, first.size());
+  // The second stage sees every first-stage write.
+  std::vector<int> second(first.size(), 0);
+  team.run(second.size(), [&](std::size_t i, std::size_t) {
+    second[i] = first[first.size() - 1 - i];
+  });
+  for (std::size_t i = 0; i < second.size(); ++i) {
+    EXPECT_EQ(second[i], static_cast<int>(second.size() - i));
+  }
+}
+
+TEST(ThreadPool, TeamRethrowsAfterStartedItemsFinish) {
+  // Item 0 throws at once; join() rethrows only after every other item
+  // ran to completion, and the team stays usable.
+  ThreadPool pool(4);
+  ThreadPool::Team team(pool, 3);
+  std::atomic<std::size_t> finished{0};
+  try {
+    team.run(8, [&](std::size_t i, std::size_t) {
+      if (i == 0) throw std::runtime_error("item 0 boom");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      finished.fetch_add(1);
+    });
+    FAIL() << "exception not propagated";
+  } catch (const std::runtime_error&) {
+    EXPECT_EQ(finished.load(), 7u);
+  }
+  std::atomic<std::size_t> again{0};
+  team.run(5, [&](std::size_t, std::size_t) { again.fetch_add(1); });
+  EXPECT_EQ(again.load(), 5u);
+}
+
+TEST(ThreadPool, TeamStageUnwindWaitsForStartedItems) {
+  // The caller throws between publish and join: the stage's destructor
+  // withdraws the items nobody claimed and waits for the ones helpers
+  // started before the frame they reference unwinds; the team stays
+  // usable.
+  ThreadPool pool(3);
+  ThreadPool::Team team(pool, 2);
+  std::atomic<int> running{0};
+  std::atomic<int> started{0};
+  try {
+    std::vector<int> frame(64, 0);
+    const ThreadPool::Team::Body body = [&](std::size_t i, std::size_t) {
+      started.fetch_add(1);
+      running.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      frame[i] = 1;
+      running.fetch_sub(1);
+    };
+    ThreadPool::Team::Stage stage = team.publish(frame.size(), body);
+    while (started.load() == 0) std::this_thread::yield();
+    throw std::runtime_error("caller boom");
+  } catch (const std::runtime_error&) {
+    EXPECT_EQ(running.load(), 0);
+    EXPECT_LT(started.load(), 64);
+  }
+  const int before = started.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(started.load(), before) << "a withdrawn item started";
+  std::atomic<int> again{0};
+  team.run(4, [&](std::size_t, std::size_t) { again.fetch_add(1); });
+  EXPECT_EQ(again.load(), 4);
+}
+
+TEST(ThreadPool, TeamInsideWorkerRunsInline) {
+  ThreadPool pool(2);
+  auto future = pool.submit([&pool] {
+    ThreadPool::Team team(pool, 2);
+    std::vector<std::size_t> order;
+    bool off_thread = false;
+    const std::thread::id self = std::this_thread::get_id();
+    team.run(6, [&](std::size_t i, std::size_t p) {
+      if (p != 0 || std::this_thread::get_id() != self) off_thread = true;
+      order.push_back(i);
+    });
+    return std::make_tuple(team.participants(), order, off_thread);
+  });
+  const auto [participants, order, off_thread] = future.get();
+  EXPECT_EQ(participants, 1u);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_FALSE(off_thread);
 }
 
 TEST(ThreadPool, InWorkerThreadDetection) {

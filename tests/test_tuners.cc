@@ -4,6 +4,8 @@
 #include <set>
 
 #include "configspace/divisors.h"
+#include "kernels/polybench.h"
+#include "runtime/swing_sim.h"
 #include "tuners/ga_tuner.h"
 #include "tuners/grid_tuner.h"
 #include "tuners/random_tuner.h"
@@ -216,6 +218,40 @@ TEST(XgbTuner, PaperEvalCapQuirk) {
   }
   EXPECT_EQ(total, 56u);
   EXPECT_FALSE(tuner.has_next());
+}
+
+TEST(XgbTuner, GoldenTrajectory) {
+  // Fixed-seed AutoTVM-XGB on the paper's lu/large surface in batches of
+  // 8: the hash of the proposal sequence pins the cost model and the
+  // annealer (RNG draws, energies, pool order) bit for bit. The hashes
+  // come from an annealer that encoded and scored every state it visited
+  // and deduplicated its pool by a linear scan.
+  const runtime::Workload workload =
+      kernels::make_workload("lu", kernels::Dataset::kLarge);
+  const cs::ConfigurationSpace space =
+      kernels::build_space("lu", workload.dims);
+  const std::uint64_t expected[] = {0x7c08820c1136a7a3ull,
+                                    0xf0efe5e50aba1c75ull,
+                                    0x97571b7381a4a48cull};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    runtime::SwingSimDevice device(2023 + seed);
+    XgbTuner tuner(&space, seed);
+    runtime::MeasureOption option;
+    option.repeat = 1;
+    std::uint64_t hash = 0;
+    for (int round = 0; round < 8; ++round) {
+      std::vector<Trial> trials;
+      for (const cs::Configuration& config : tuner.next_batch(8)) {
+        hash = hash_combine(hash, config.hash());
+        runtime::MeasureInput input;
+        input.workload = workload;
+        input.tiles = space.values_int(config);
+        trials.push_back({config, device.measure(input, option).runtime_s});
+      }
+      tuner.update(trials);
+    }
+    EXPECT_EQ(hash, expected[seed - 1]) << "seed " << seed;
+  }
 }
 
 TEST(Tuner, UpdateTracksBestAcrossInvalid) {
