@@ -152,10 +152,15 @@ void BM_TeInterpMatmul(benchmark::State& state) {
 }
 BENCHMARK(BM_TeInterpMatmul)->Arg(16)->Arg(32);
 
+// Args: n, then the two tiles. {4,4} is the interpreter bench's schedule;
+// {2,1} makes the closure tier's strided nest enter its innermost level
+// (extent 2) n^3 / 2 times per run, so it times nest entries as much as
+// the MACs.
 void BM_TeCompiledMatmul(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   const auto t = kernels::make_gemm(n, n, n);
-  te::Schedule sched = kernels::schedule_gemm(t, 4, 4);
+  te::Schedule sched =
+      kernels::schedule_gemm(t, state.range(1), state.range(2));
   const te::Stmt program = te::lower(sched);
   runtime::NDArray a({n, n}), b({n, n}), c({n, n});
   kernels::init_gemm(a, b);
@@ -166,14 +171,20 @@ void BM_TeCompiledMatmul(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
-BENCHMARK(BM_TeCompiledMatmul)->Arg(16)->Arg(32);
+BENCHMARK(BM_TeCompiledMatmul)
+    ->Args({16, 4, 4})
+    ->Args({32, 4, 4})
+    ->Args({32, 2, 1});
 
-// LU through the serve path's closure tier: the triangular trailing update
-// runs its `i > k && j > k` guard on every one of the n^3 update-nest
-// iterations, so this times guard compares as much as the MACs.
+// LU through the serve path's closure tier. Args: n, then the two tiles.
+// The trailing update runs as one strided nest per pivot k, its
+// `i > k && j > k` guard solved into each level's iteration range rather
+// than tested per iteration. Tiles {1,2} make the innermost level (the
+// j tile, extent 2) be entered ~n^3 / 4 times per run, so that case times
+// nest entries as much as the MACs.
 void BM_TeCompiledLu(benchmark::State& state) {
   const std::int64_t n = state.range(0);
-  const std::vector<std::int64_t> tiles = {8, 8};
+  const std::vector<std::int64_t> tiles = {state.range(1), state.range(2)};
   kernels::TeProgramInstance instance(kernels::make_te_kernel_data("lu", {n}),
                                       tiles);
   const te::CompiledProgram compiled =
@@ -185,7 +196,10 @@ void BM_TeCompiledLu(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
-BENCHMARK(BM_TeCompiledLu)->Arg(40)->Arg(64);
+BENCHMARK(BM_TeCompiledLu)
+    ->Args({40, 8, 8})
+    ->Args({64, 8, 8})
+    ->Args({40, 1, 2});
 
 void BM_TeJitMatmul(benchmark::State& state) {
   if (!codegen::JitProgram::toolchain_available()) {

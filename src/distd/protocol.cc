@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 
 #include <cerrno>
 #include <chrono>
@@ -50,17 +51,30 @@ FrameStatus read_exact(int fd, void* data, std::size_t size,
   return FrameStatus::kOk;
 }
 
-FrameStatus write_exact(int fd, const void* data, std::size_t size) {
-  const auto* in = static_cast<const char*>(data);
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::send(fd, in + done, size - done, MSG_NOSIGNAL);
+/// Sends the `left` buffers from `next` in order as one stream, with one
+/// sendmsg per attempt, so a reader wakes to all of them at once unless
+/// the socket buffer splits them. Advances the buffers past what was sent.
+FrameStatus write_all(int fd, iovec* next, std::size_t left) {
+  while (left > 0) {
+    msghdr message{};
+    message.msg_iov = next;
+    message.msg_iovlen = left;
+    ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return (errno == EPIPE || errno == ECONNRESET) ? FrameStatus::kClosed
                                                      : FrameStatus::kError;
     }
-    done += static_cast<std::size_t>(n);
+    // Drop what was sent: whole buffers, then the head of a partial one.
+    while (left > 0 && static_cast<std::size_t>(n) >= next->iov_len) {
+      n -= static_cast<ssize_t>(next->iov_len);
+      ++next;
+      --left;
+    }
+    if (left > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + n;
+      next->iov_len -= static_cast<std::size_t>(n);
+    }
   }
   return FrameStatus::kOk;
 }
@@ -77,9 +91,9 @@ FrameStatus write_frame(int fd, const Json& message) {
       static_cast<unsigned char>(size >> 8),
       static_cast<unsigned char>(size),
   };
-  const FrameStatus head = write_exact(fd, prefix, sizeof(prefix));
-  if (head != FrameStatus::kOk) return head;
-  return write_exact(fd, payload.data(), payload.size());
+  iovec parts[] = {{prefix, sizeof(prefix)},
+                   {const_cast<char*>(payload.data()), payload.size()}};
+  return write_all(fd, parts, 2);
 }
 
 const char* frame_status_name(FrameStatus status) {

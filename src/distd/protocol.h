@@ -50,7 +50,8 @@ enum class FrameStatus {
 /// Human-readable name of a FrameStatus (for logs and error frames).
 const char* frame_status_name(FrameStatus status);
 
-/// Writes one frame (blocking; EPIPE comes back as kClosed, never
+/// Writes one frame, prefix and payload in one sendmsg call unless the
+/// socket buffer splits it (blocking; EPIPE comes back as kClosed, never
 /// SIGPIPE).
 FrameStatus write_frame(int fd, const Json& message);
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <optional>
+#include <tuple>
 
 #include "analysis/affine.h"
 #include "common/logging.h"
@@ -105,8 +106,8 @@ struct Affine3 {
            t2.coeff * r[t2.slot];
   }
 };
-/// Fixed-array fallback for longer forms (and for strided loops' start
-/// offsets): the first four terms are evaluated straight-line, unused ones
+/// Fixed-array fallback for longer forms (and for strided nests' start
+/// values): the first four terms are evaluated straight-line, unused ones
 /// being zero terms on slot 0.
 constexpr std::size_t kMaxFixedTerms = 8;
 struct AffineN {
@@ -246,34 +247,6 @@ auto with_compare(CmpOp op, const Visit& visit) {
   return visit([](I, I) { return false; });
 }
 
-/// An affine form split along one loop index i: `start(r) + step·i`, where
-/// `start` leaves the loop's own register out.
-struct Stepped {
-  AffineN start{};
-  std::int64_t step = 0;
-};
-
-/// Splits `form` along the loop in `slot`. Registers above `slot` belong
-/// to extent-1 loops between that loop and its store, whose index is
-/// always 0, so their terms drop out. nullopt when the remaining terms do
-/// not fit the fixed array.
-std::optional<Stepped> split_along(const SlotForm& form, std::size_t slot) {
-  Stepped out;
-  out.start.c = form.constant;
-  for (const SlotTerm& t : form.terms) {
-    if (t.slot == slot) {
-      out.step = t.coeff;
-    } else if (t.slot > slot) {
-      continue;
-    } else if (out.start.n == kMaxFixedTerms) {
-      return std::nullopt;
-    } else {
-      out.start.t[out.start.n++] = t;
-    }
-  }
-  return out;
-}
-
 /// floor(a / b) for b > 0; b = 1, the usual guard coefficient, skips the
 /// division.
 std::int64_t floor_div_pos(std::int64_t a, std::int64_t b) {
@@ -282,24 +255,44 @@ std::int64_t floor_div_pos(std::int64_t a, std::int64_t b) {
   return (a % b != 0 && a < 0) ? q - 1 : q;
 }
 
-/// The iterations [lo, hi) of a loop over [0, extent) that pass a guard
-/// `∧ h_k(r) + c_k·i >= 0`, solved once per loop entry.
-struct IterationRange {
-  std::int64_t extent = 0;
-  std::size_t n = 0;
-  std::array<Stepped, kMaxConjuncts> h{};
+// A strided nest runs a perfect chain of serial loops over one store as
+// native loops. Past these caps a chain is not a nest, and its outer loops
+// stay closures around the nest that fits below them.
+constexpr std::size_t kMaxNestLevels = 8;
+constexpr std::size_t kMaxNestConjuncts = 8;
+constexpr std::size_t kMaxNestAccesses = 3;
 
-  std::pair<std::int64_t, std::int64_t> operator()(Regs r) const {
+/// An affine form split over a nest: `start(r)` over the registers outside
+/// it plus `step[l]·i_l` for each level l.
+struct NestSplit {
+  AffineN start{};
+  std::array<std::int64_t, kMaxNestLevels> step{};
+  /// One past the deepest level whose index the form mentions (0: none).
+  std::size_t depth = 0;
+};
+
+/// One level of a nest: a loop over [0, extent) whose interval is narrowed
+/// by the guard conjuncts [first, last), the ones whose deepest index is
+/// this level's.
+struct NestLevel {
+  std::int64_t extent = 0;
+  std::size_t first = 0;
+  std::size_t last = 0;
+  std::array<std::int64_t, kMaxNestAccesses> access_step{};
+  std::array<std::int64_t, kMaxNestConjuncts> guard_step{};
+
+  /// The iterations [lo, hi) that pass every conjunct `h[k] + c_k·i >= 0`
+  /// decided here, h[k] being the conjunct's value at i = 0.
+  std::pair<std::int64_t, std::int64_t> range(const std::int64_t* h) const {
     std::int64_t lo = 0;
     std::int64_t hi = extent;
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::int64_t h0 = h[k].start(r);
-      const std::int64_t c = h[k].step;
+    for (std::size_t k = first; k < last; ++k) {
+      const std::int64_t c = guard_step[k];
       if (c > 0) {
-        lo = std::max(lo, -floor_div_pos(h0, c));
+        lo = std::max(lo, -floor_div_pos(h[k], c));
       } else if (c < 0) {
-        hi = std::min(hi, floor_div_pos(h0, -c) + 1);
-      } else if (h0 < 0) {
+        hi = std::min(hi, floor_div_pos(h[k], -c) + 1);
+      } else if (h[k] < 0) {
         return {0, 0};
       }
     }
@@ -307,37 +300,160 @@ struct IterationRange {
   }
 };
 
-/// A serial loop whose body is one store, run as one loop: each access's
-/// offset is computed once per entry and then stepped by its coefficient.
-/// `body` reads and writes memory through the current offsets (element 0
-/// is the destination) exactly as the per-iteration closures would.
+/// Levels, guard conjuncts (sorted by the level that decides them; the
+/// first `entry` mention no nest index) and access start offsets.
+struct NestShape {
+  std::size_t depth = 0;
+  std::array<NestLevel, kMaxNestLevels> level{};
+  std::size_t entry = 0;
+  std::size_t guards = 0;
+  std::array<AffineN, kMaxNestConjuncts> guard_start{};
+  std::array<AffineN, kMaxNestAccesses> access_start{};
+};
+
+/// A perfect nest of serial loops over one store, run as native loops:
+/// each access offset and guard value is evaluated once at entry over the
+/// outer registers and then stepped by each level's stride, each level
+/// running only the iterations its conjuncts allow. `body` takes the
+/// current offsets, the destination's first, and reads and writes memory
+/// through them exactly as the per-iteration closures would.
 template <std::size_t N, class Body>
-struct StridedLoop {
-  IterationRange range;
-  std::array<Stepped, N> access;
+struct StridedNest {
+  using Offsets = std::array<std::int64_t, N>;
+  using Guards = std::array<std::int64_t, kMaxNestConjuncts>;
+
+  NestShape shape;
   Body body;
 
   void operator()(Regs r) const {
-    const auto [lo, hi] = range(r);
+    Guards h{};
+    for (std::size_t k = 0; k < shape.guards; ++k) {
+      h[k] = shape.guard_start[k](r);
+      if (k < shape.entry && h[k] < 0) return;
+    }
+    Offsets offset{};
+    for (std::size_t k = 0; k < N; ++k) offset[k] = shape.access_start[k](r);
+    if (shape.depth == 0) {
+      std::apply(body, offset);
+    } else {
+      run(0, offset, h);
+    }
+  }
+
+  /// Runs level l and the levels inside it from the values `at` and `h_at`
+  /// of the offsets and guard conjuncts at index 0 of this level and every
+  /// deeper one.
+  void run(std::size_t l, const Offsets& at, const Guards& h_at) const {
+    const NestLevel& level = shape.level[l];
+    const auto [lo, hi] = level.range(h_at.data());
     if (lo >= hi) return;
-    std::array<std::int64_t, N> offset;
-    std::array<std::int64_t, N> step;
+    if (l + 1 == shape.depth) {
+      innermost(level, lo, hi, at);
+    } else if (l + 2 == shape.depth) {
+      // The innermost level is entered most often: inline, not a call.
+      const NestLevel& inner = shape.level[l + 1];
+      walk(level, lo, hi, at, h_at, [&](const Offsets& o, const Guards& h) {
+        const auto [inner_lo, inner_hi] = inner.range(h.data());
+        if (inner_lo < inner_hi) innermost(inner, inner_lo, inner_hi, o);
+      });
+    } else {
+      walk(level, lo, hi, at, h_at, [&](const Offsets& o, const Guards& h) {
+        run(l + 1, o, h);
+      });
+    }
+  }
+
+  /// Calls `visit` with the offsets and guard values of every index in
+  /// [lo, hi) of `level`, stepped from `at` and `h_at`. Each call gets this
+  /// level's own copies, so the level inside starts afresh from them.
+  template <class Visit>
+  void walk(const NestLevel& level, std::int64_t lo, std::int64_t hi,
+            const Offsets& at, const Guards& h_at, const Visit& visit) const {
+    Offsets offset{};
+    Offsets step{};
     for (std::size_t k = 0; k < N; ++k) {
-      step[k] = access[k].step;
-      offset[k] = access[k].start(r) + lo * step[k];
+      step[k] = level.access_step[k];
+      offset[k] = at[k] + lo * step[k];
+    }
+    // Only conjuncts decided deeper still change with this level's index.
+    Guards h{};
+    for (std::size_t k = level.last; k < shape.guards; ++k) {
+      h[k] = h_at[k] + lo * level.guard_step[k];
     }
     for (std::int64_t i = lo; i < hi; ++i) {
-      body(offset);
+      visit(offset, h);
       for (std::size_t k = 0; k < N; ++k) offset[k] += step[k];
+      for (std::size_t k = level.last; k < shape.guards; ++k) {
+        h[k] += level.guard_step[k];
+      }
+    }
+  }
+
+  /// The innermost level, over [lo, hi). Its offsets are scalars rather
+  /// than an array, which the compiler would carry from one iteration to
+  /// the next through memory once it vectorizes the steps.
+  void innermost(const NestLevel& level, std::int64_t lo, std::int64_t hi,
+                 const Offsets& at) const {
+    const std::array<std::int64_t, kMaxNestAccesses>& step =
+        level.access_step;
+    std::int64_t o0 = at[0] + lo * step[0];
+    if constexpr (N == 1) {
+      for (std::int64_t i = lo; i < hi; ++i, o0 += step[0]) body(o0);
+    } else if constexpr (N == 2) {
+      std::int64_t o1 = at[1] + lo * step[1];
+      for (std::int64_t i = lo; i < hi; ++i, o0 += step[0], o1 += step[1]) {
+        body(o0, o1);
+      }
+    } else {
+      std::int64_t o1 = at[1] + lo * step[1];
+      std::int64_t o2 = at[2] + lo * step[2];
+      for (std::int64_t i = lo; i < hi;
+           ++i, o0 += step[0], o1 += step[1], o2 += step[2]) {
+        body(o0, o1, o2);
+      }
     }
   }
 };
 
 template <std::size_t N, class Body>
-FStmt strided_loop(const IterationRange& range,
-                   const std::array<Stepped, N>& access, Body body) {
-  return StridedLoop<N, Body>{range, access, std::move(body)};
+FStmt strided_nest(NestShape shape, const std::array<NestSplit, N>& access,
+                   Body body) {
+  static_assert(N <= kMaxNestAccesses);
+  for (std::size_t k = 0; k < N; ++k) {
+    shape.access_start[k] = access[k].start;
+    for (std::size_t l = 0; l < shape.depth; ++l) {
+      shape.level[l].access_step[k] = access[k].step[l];
+    }
+  }
+  return StridedNest<N, Body>{shape, std::move(body)};
 }
+
+/// The registers of a loop chain compiled as a nest: slots below `outer`
+/// are outside it, and slot outer + k is the chain's k-th loop, at level
+/// level_of[k] or, for an extent-1 loop, at none (kMaxNestLevels).
+struct NestFrame {
+  std::size_t outer = 0;
+  std::vector<std::size_t> level_of;
+
+  /// Splits a folded form over the nest's levels; nullopt when its outer
+  /// terms do not fit the fixed array.
+  std::optional<NestSplit> split(const SlotForm& form) const {
+    NestSplit out;
+    out.start.c = form.constant;
+    for (const SlotTerm& t : form.terms) {
+      if (t.slot < outer) {
+        if (out.start.n == kMaxFixedTerms) return std::nullopt;
+        out.start.t[out.start.n++] = t;
+        continue;
+      }
+      const std::size_t l = level_of[t.slot - outer];
+      if (l == kMaxNestLevels) continue;  // an extent-1 loop's index is 0
+      out.step[l] = t.coeff;
+      out.depth = std::max(out.depth, l + 1);
+    }
+    return out;
+  }
+};
 
 template <class Condition>
 FStmt if_stmt(Condition condition, FStmt then_case, FStmt else_case) {
@@ -368,8 +484,15 @@ struct Compiler {
   std::vector<std::pair<const TensorNode*, std::vector<std::int64_t>>>
       strides;
   std::vector<std::shared_ptr<runtime::NDArray>> owned;
-  /// Loops compiled by compile_strided.
-  std::size_t strided_loops = 0;
+  /// Nests compiled by compile_strided, and the levels they run.
+  std::size_t strided_nests = 0;
+  std::size_t strided_levels = 0;
+
+  /// Whether `loop` is a kParallel loop dispatched on the pool.
+  bool dispatches(const ForNode* loop) const {
+    return loop->for_kind == ForKind::kParallel && parallel_threads != 1 &&
+           loop->extent > 1;
+  }
 
   std::size_t slot_of(const VarNode* var) const {
     for (std::size_t i = 0; i < registers.size(); ++i) {
@@ -427,7 +550,10 @@ struct Compiler {
   std::optional<Load3> fold_load(const ExprNode* expr);
   FExpr compile_value(const ExprNode* expr);
   FStmt compile_store(const StoreNode* node);
-  std::optional<FStmt> compile_strided(const ForNode* loop, std::size_t slot);
+  std::optional<FStmt> compile_strided(const ForNode* loop);
+  std::optional<FStmt> strided_store(const StoreNode* store,
+                                     const NestShape& shape,
+                                     const NestFrame& frame);
   FStmt compile_stmt(const StmtNode* stmt);
 };
 
@@ -675,59 +801,105 @@ FStmt Compiler::compile_store(const StoreNode* node) {
   });
 }
 
-/// Compiles a loop whose body is one store, optionally under a guard of
-/// affine conjuncts without an else branch and inside loops of extent 1,
-/// into one StridedLoop when the store has one of the shapes
+/// Compiles the perfect chain of serial loops from `loop` down — each
+/// loop's body one loop, else-less guards of affine conjuncts anywhere in
+/// between, then one store — into one StridedNest when the store has one
+/// of the shapes
 ///   T[f] = T[f] op (X[g] op2 Y[h]),   T[f] = T[f] op X[g],
 ///   T[f] = X[g],                      T[f] = const
-/// and every offset folds. nullopt otherwise.
-std::optional<FStmt> Compiler::compile_strided(const ForNode* loop,
-                                               std::size_t slot) {
-  IterationRange range;
-  range.extent = loop->extent;
-  const StmtNode* body = loop->body.get();
-  // Extent-1 loops (a split by 1) run their body once at index 0: bind
-  // their registers for folding (the caller unbinds them) and let
-  // split_along drop their terms.
-  while (body->kind() == StmtKind::kFor &&
-         static_cast<const ForNode*>(body)->extent == 1) {
-    const auto* inner = static_cast<const ForNode*>(body);
-    bind_var(inner->var.get());
-    body = inner->body.get();
-  }
-  if (body->kind() == StmtKind::kIfThenElse) {
-    const auto* node = static_cast<const IfThenElseNode*>(body);
-    if (node->else_case) return std::nullopt;
-    std::vector<analysis::AffineForm> constraints;
-    if (!analysis::collect_constraints_checked(node->condition,
-                                               constraints) ||
-        constraints.size() > kMaxConjuncts) {
-      return std::nullopt;
+/// and every offset folds. Extent-1 loops (a split by 1) run their body
+/// once at index 0, so they are no level of the nest. Binds the chain's
+/// registers for folding (the caller unbinds them). nullopt otherwise.
+std::optional<FStmt> Compiler::compile_strided(const ForNode* loop) {
+  NestFrame frame{registers.size(), {}};
+  NestShape shape;
+  std::vector<analysis::AffineForm> constraints;
+  const StmtNode* body = loop;
+  for (;;) {
+    if (body->kind() == StmtKind::kFor) {
+      const auto* node = static_cast<const ForNode*>(body);
+      if (dispatches(node)) return std::nullopt;
+      bind_var(node->var.get());
+      if (node->extent == 1) {
+        frame.level_of.push_back(kMaxNestLevels);
+      } else if (shape.depth == kMaxNestLevels) {
+        return std::nullopt;
+      } else {
+        frame.level_of.push_back(shape.depth);
+        shape.level[shape.depth++].extent = node->extent;
+      }
+      body = node->body.get();
+    } else if (body->kind() == StmtKind::kIfThenElse) {
+      const auto* node = static_cast<const IfThenElseNode*>(body);
+      if (node->else_case || !analysis::collect_constraints_checked(
+                                 node->condition, constraints)) {
+        return std::nullopt;
+      }
+      body = node->then_case.get();
+    } else {
+      break;
     }
-    for (const analysis::AffineForm& constraint : constraints) {
-      const std::optional<Stepped> h = split_along(to_slots(constraint), slot);
-      if (!h) return std::nullopt;
-      range.h[range.n++] = *h;
-    }
-    body = node->then_case.get();
   }
-  if (body->kind() != StmtKind::kStore) return std::nullopt;
-  const auto* store = static_cast<const StoreNode*>(body);
+  if (body->kind() != StmtKind::kStore ||
+      constraints.size() > kMaxNestConjuncts) {
+    return std::nullopt;
+  }
+  // Each conjunct is decided at the deepest level whose index it mentions
+  // (at entry when none): sorted by that level, each level's are a range.
+  std::vector<NestSplit> conjuncts;
+  conjuncts.reserve(constraints.size());
+  for (const analysis::AffineForm& constraint : constraints) {
+    const std::optional<NestSplit> h = frame.split(to_slots(constraint));
+    if (!h) return std::nullopt;
+    conjuncts.push_back(*h);
+  }
+  std::stable_sort(conjuncts.begin(), conjuncts.end(),
+                   [](const NestSplit& a, const NestSplit& b) {
+                     return a.depth < b.depth;
+                   });
+  shape.guards = conjuncts.size();
+  for (std::size_t k = 0; k < conjuncts.size(); ++k) {
+    shape.guard_start[k] = conjuncts[k].start;
+    if (conjuncts[k].depth == 0) ++shape.entry;
+    for (std::size_t l = 0; l < shape.depth; ++l) {
+      shape.level[l].guard_step[k] = conjuncts[k].step[l];
+    }
+  }
+  std::size_t next = shape.entry;
+  for (std::size_t l = 0; l < shape.depth; ++l) {
+    shape.level[l].first = next;
+    while (next < conjuncts.size() && conjuncts[next].depth == l + 1) ++next;
+    shape.level[l].last = next;
+  }
+  std::optional<FStmt> nest =
+      strided_store(static_cast<const StoreNode*>(body), shape, frame);
+  if (nest) {
+    ++strided_nests;
+    strided_levels += shape.depth;
+  }
+  return nest;
+}
+
+/// The StridedNest of `shape` over `store`, when the store has one of the
+/// strided shapes and every offset folds.
+std::optional<FStmt> Compiler::strided_store(const StoreNode* store,
+                                             const NestShape& shape,
+                                             const NestFrame& frame) {
   double* t = base_of(store->tensor.get());
   const std::optional<SlotForm> dest_form =
       compile_offset(store->tensor.get(), store->indices).folded;
   if (!dest_form) return std::nullopt;
-  const std::optional<Stepped> dest = split_along(*dest_form, slot);
+  const std::optional<NestSplit> dest = frame.split(*dest_form);
   if (!dest) return std::nullopt;
-  // A load as its base and stepped offset, when the offset folds.
+  // A load as its base and split offset, when the offset folds.
   auto load = [&](const ExprNode* expr)
-      -> std::optional<std::pair<const double*, Stepped>> {
+      -> std::optional<std::pair<const double*, NestSplit>> {
     if (expr->kind() != ExprKind::kTensorAccess) return std::nullopt;
     const auto* node = static_cast<const TensorAccessNode*>(expr);
     const std::optional<SlotForm> form =
         compile_offset(node->tensor.get(), node->indices).folded;
     if (!form) return std::nullopt;
-    const std::optional<Stepped> offset = split_along(*form, slot);
+    const std::optional<NestSplit> offset = frame.split(*form);
     if (!offset) return std::nullopt;
     return std::pair{base_of(node->tensor.get()), *offset};
   };
@@ -741,15 +913,17 @@ std::optional<FStmt> Compiler::compile_strided(const ForNode* loop,
               ? static_cast<double>(
                     static_cast<const IntImmNode*>(value)->value)
               : static_cast<const FloatImmNode*>(value)->value;
-      return strided_loop(range, std::array{*dest},
-                          [t, c](const auto& o) { t[o[0]] = c; });
+      return strided_nest(shape, std::array{*dest},
+                          [t, c](std::int64_t d) { t[d] = c; });
     }
     case ExprKind::kTensorAccess: {
       const auto x = load(value);
       if (!x) return std::nullopt;
-      return strided_loop(
-          range, std::array{*dest, x->second},
-          [t, x = x->first](const auto& o) { t[o[0]] = x[o[1]]; });
+      return strided_nest(
+          shape, std::array{*dest, x->second},
+          [t, x = x->first](std::int64_t d, std::int64_t a) {
+            t[d] = x[a];
+          });
     }
     case ExprKind::kBinary:
       break;
@@ -767,10 +941,11 @@ std::optional<FStmt> Compiler::compile_strided(const ForNode* loop,
   const ExprNode* rhs = binary->b.get();
   if (const auto x = load(rhs)) {
     return with_value_op(binary->op, [&](auto op) {
-      return strided_loop(range, std::array{*dest, x->second},
-                          [t, x = x->first, op](const auto& o) {
-                            t[o[0]] = op(t[o[0]], x[o[1]]);
-                          });
+      return strided_nest(
+          shape, std::array{*dest, x->second},
+          [t, x = x->first, op](std::int64_t d, std::int64_t a) {
+            t[d] = op(t[d], x[a]);
+          });
     });
   }
   if (rhs->kind() != ExprKind::kBinary) return std::nullopt;
@@ -780,10 +955,11 @@ std::optional<FStmt> Compiler::compile_strided(const ForNode* loop,
   if (!x || !y) return std::nullopt;
   return with_value_op(binary->op, [&](auto op) {
     return with_value_op(product->op, [&](auto op2) {
-      return strided_loop(
-          range, std::array{*dest, x->second, y->second},
-          [t, x = x->first, y = y->first, op, op2](const auto& o) {
-            t[o[0]] = op(t[o[0]], op2(x[o[1]], y[o[2]]));
+      return strided_nest(
+          shape, std::array{*dest, x->second, y->second},
+          [t, x = x->first, y = y->first, op, op2](
+              std::int64_t d, std::int64_t a, std::int64_t b) {
+            t[d] = op(t[d], op2(x[a], y[b]));
           });
     });
   });
@@ -793,22 +969,17 @@ FStmt Compiler::compile_stmt(const StmtNode* stmt) {
   switch (stmt->kind()) {
     case StmtKind::kFor: {
       const auto* node = static_cast<const ForNode*>(stmt);
+      if (!dispatches(node)) {
+        const std::size_t outer = registers.size();
+        std::optional<FStmt> nest = compile_strided(node);
+        registers.resize(outer);
+        if (nest) return *std::move(nest);
+      }
       const std::size_t slot = bind_var(node->var.get());
       const std::int64_t extent = node->extent;
-      const bool dispatches = node->for_kind == ForKind::kParallel &&
-                              parallel_threads != 1 && extent > 1;
-      if (!dispatches) {
-        std::optional<FStmt> strided = compile_strided(node, slot);
-        registers.resize(slot + 1);
-        if (strided) {
-          registers.pop_back();
-          ++strided_loops;
-          return *std::move(strided);
-        }
-      }
       FStmt body = compile_stmt(node->body.get());
       registers.pop_back();
-      if (dispatches) {
+      if (dispatches(node)) {
         const std::size_t slots = scratch_slots;
         const int threads = parallel_threads;
         return [slot, extent, body, slots, threads](Regs r) {
@@ -904,7 +1075,8 @@ CompiledProgram CompiledProgram::compile(
   compiler.parallel_threads = options.parallel_threads;
   program.entry_ = compiler.compile_stmt(stmt.get());
   program.owned_ = std::move(compiler.owned);
-  program.num_strided_loops_ = compiler.strided_loops;
+  program.num_strided_loops_ = compiler.strided_nests;
+  program.num_strided_levels_ = compiler.strided_levels;
   return program;
 }
 

@@ -13,24 +13,32 @@
 //     in, and each guard compare — folds into one `c + Σ k·r[slot]` node;
 //     non-affine integer ops (floordiv, mod, min, max, select, var×var)
 //     stay closures whose operands re-enter the folded path,
-//   * every loop that runs serially (all but a kParallel loop dispatched
-//     on the pool) whose body is one store, optionally under a guard of
-//     at most four affine conjuncts and no else branch and under loops of
-//     extent 1 (index 0), becomes one strided loop when the store is
+//   * every perfect nest of serially run loops (a kParallel loop
+//     dispatched on the pool is no part of one) over one store — each
+//     loop's body one loop, else-less guards of affine conjuncts anywhere
+//     in between — becomes one strided nest when the store is
 //       T[f] = T[f] op (X[g] op2 Y[h]),  T[f] = T[f] op X[g],
 //       T[f] = X[g]  or  T[f] = const
-//     and every offset folds. Each offset is split into `start(r) + s·i`
-//     along the loop index i; `start` is computed once per loop entry and
-//     the offset then steps by s each iteration (s = 0, e.g. a reduction
-//     along the loop, is fine). Each guard conjunct `h0(r) + c·i >= 0`
-//     narrows the iteration interval [lo, hi) once per entry: c > 0
-//     raises lo to −floor(h0/c), c < 0 lowers hi to floor(h0/−c) + 1, and
-//     c = 0 with h0 < 0 empties it. Memory is touched only by iterations
-//     in [lo, hi), and nothing is computed for an empty interval,
+//     and every offset folds. Loops of extent 1 are no level of it (their
+//     index is 0); past 8 levels or 8 conjuncts, the outer loops stay
+//     closures around the nest that fits inside them. Each offset is
+//     split into `start(r) + Σ s_l·i_l` over the nest's levels l; `start`
+//     reads only registers outside the nest and is computed once per
+//     entry, and the offset then steps by s_l at each level (s_l = 0,
+//     e.g. a reduction, is fine). Nest indices never
+//     reach the register file. Each guard conjunct is decided at the
+//     deepest level whose index it mentions: `h0 + c·i >= 0`, h0 stepped
+//     like an offset through the levels above, narrows that level's
+//     interval [lo, hi) on every entry to it (c > 0 raises lo to
+//     −floor(h0/c), c < 0 lowers hi to floor(h0/−c) + 1), and a conjunct
+//     that mentions no nest index is decided once at entry. Memory is
+//     touched only by iterations in [lo, hi), and nothing is computed for
+//     an empty interval,
 //   * every other expression/statement becomes one std::function node —
 //     no kind dispatch per visit. Float operations and their order match
 //     the interpreter, so results are bit-identical to it. The strided
-//     loop keeps that by construction: it runs the same operations in the
+//     nest keeps that by construction: a conjunct never mentions an index
+//     deeper than its level, so the nest runs the same operations in the
 //     same order on exactly the iterations whose guard holds, and each
 //     iteration reads every operand from memory (no restrict, nothing
 //     held in registers), so a store that a later iteration reads through
@@ -76,8 +84,12 @@ class CompiledProgram {
   /// Number of registers (loop variables) the program uses.
   std::size_t num_registers() const { return num_registers_; }
 
-  /// Number of loops compiled to the strided form (see the file comment).
+  /// Number of loop nests compiled to the strided form (see the file
+  /// comment).
   std::size_t num_strided_loops() const { return num_strided_loops_; }
+
+  /// Number of loop levels those nests run, extent-1 loops excluded.
+  std::size_t num_strided_levels() const { return num_strided_levels_; }
 
  private:
   CompiledProgram() = default;
@@ -85,6 +97,7 @@ class CompiledProgram {
   std::function<void(std::int64_t*)> entry_;
   std::size_t num_registers_ = 0;
   std::size_t num_strided_loops_ = 0;
+  std::size_t num_strided_levels_ = 0;
   /// Buffers owned by the program (Realize-allocated intermediates).
   std::vector<std::shared_ptr<runtime::NDArray>> owned_;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 
 #include "common/rng.h"
 #include "kernels/polybench.h"
@@ -208,10 +209,20 @@ NDArray filled(std::vector<std::int64_t> shape, double seed) {
   return array;
 }
 
+/// The compiled program's strided nests and the loop levels they run.
+struct StridedCounts {
+  std::size_t nests = 0;
+  std::size_t levels = 0;
+  bool operator==(const StridedCounts&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const StridedCounts& counts) {
+  return os << counts.nests << " nests of " << counts.levels << " levels";
+}
+
 /// Runs `program` on the interpreter and on the closure compiler, each
 /// from its own copy of `arrays`, and expects every buffer memcmp-equal.
-/// Returns the compiled program's strided-loop count.
-std::size_t expect_bit_identical(
+StridedCounts expect_bit_identical(
     const Stmt& program, const std::vector<std::pair<Tensor, NDArray>>& arrays,
     const CompileOptions& options = {}) {
   std::vector<NDArray> via_interp, via_compile;
@@ -237,7 +248,7 @@ std::size_t expect_bit_identical(
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
         << "buffer " << arrays[i].first->name;
   }
-  return compiled.num_strided_loops();
+  return {compiled.num_strided_loops(), compiled.num_strided_levels()};
 }
 
 TEST(Compile, AffineCancellingCoefficients) {
@@ -379,13 +390,16 @@ TEST(Compile, AffineLongFormsSpanEveryEvaluator) {
     if (extents[d] == 2) partial = partial + vars[d];
   }
   // Extent-1 loops contribute 3 * 0; the flat index stays within 0..31.
+  // The sum reads O second, so the store is no strided shape and keeps
+  // the per-access evaluators.
   Stmt program = make_store(o, {flat},
-                            access(o, {flat}) + access(a, {partial}));
+                            access(a, {partial}) + access(o, {flat}));
   for (int d = depth - 1; d >= 0; --d) {
     program = make_for(vars[d], extents[d], ForKind::kSerial, program);
   }
-  expect_bit_identical(program, {{a, filled({8}, 2.0)},
-                                 {o, filled({64}, 0.0)}});
+  EXPECT_EQ(expect_bit_identical(program, {{a, filled({8}, 2.0)},
+                                           {o, filled({64}, 0.0)}}),
+            (StridedCounts{0, 0}));
   EXPECT_GT(loop_depth(program), 16u);
 }
 
@@ -421,14 +435,15 @@ TEST(Compile, AffineParallelLoopPrivateRegisters) {
 }
 
 
-// --- strided inner loops ------------------------------------------------------
-// A serial innermost loop whose body is one store (optionally under an
-// affine guard without else) runs as one loop that steps each access's
-// offset; the guard becomes an iteration interval. Every case must stay
-// byte-identical to the interpreter and must actually take that path.
+// --- strided loop nests ------------------------------------------------------
+// A perfect chain of serial loops over one store (optionally under affine
+// guards without else) runs as one nest that steps each access's offset
+// through every level; each guard conjunct narrows the level of the
+// deepest index it mentions. Every case must stay byte-identical to the
+// interpreter and must actually take that path.
 
-/// The strided store shapes, over u in [0,2), v in [0,3), i in [0,5) and
-/// the inner loop j in [0,7). Offsets mix positive, negative and zero
+/// The strided store shapes, over the nest u in [0,2), v in [0,3),
+/// i in [0,5) and j in [0,7). Offsets mix positive, negative and zero
 /// coefficients of j.
 std::vector<std::pair<std::string, Stmt>> strided_shapes(
     const Tensor& o, const Tensor& a, const Tensor& b, const Var& u,
@@ -498,7 +513,7 @@ TEST(Compile, StridedShapesUnderGuards) {
                                      {{o, filled({2, 3, 5, 9}, -0.5)},
                                       {a, filled({8, 7}, 1.25)},
                                       {b, filled({7, 3}, 0.75)}}),
-                1u);
+                (StridedCounts{1, 4}));
     }
   }
 }
@@ -520,7 +535,7 @@ TEST(Compile, StridedGuardsThatNeverPass) {
                                      make_if(guard, store)));
     EXPECT_EQ(expect_bit_identical(program, {{o, filled({4, 6}, 0.5)},
                                              {a, filled({4, 6}, 1.5)}}),
-              1u);
+              (StridedCounts{1, 2}));
   }
 }
 
@@ -544,7 +559,8 @@ TEST(Compile, StridedAliasedLuUpdates) {
   Stmt program = make_for(k, n, ForKind::kSerial, make_seq({scale, update}));
   NDArray start = filled({n, n}, 3.0);
   for (std::int64_t d = 0; d < n; ++d) start.f64()[d * (n + 1)] += 10.0;
-  EXPECT_EQ(expect_bit_identical(program, {{m, start}}), 2u);
+  EXPECT_EQ(expect_bit_identical(program, {{m, start}}),
+            (StridedCounts{2, 3}));
 }
 
 TEST(Compile, StridedBodiesInsideParallelChunks) {
@@ -569,7 +585,7 @@ TEST(Compile, StridedBodiesInsideParallelChunks) {
                                  {{c, filled({n, m}, 0.0)},
                                   {a, filled({n, m}, 0.5)}},
                                  options),
-            2u);
+            (StridedCounts{2, 2}));
   // A dispatched parallel loop whose body is a store keeps its chunks.
   Stmt flat = make_for(i, n, ForKind::kParallel,
                        make_store(c, {i, imm(0)}, access(a, {i, imm(1)})));
@@ -577,16 +593,16 @@ TEST(Compile, StridedBodiesInsideParallelChunks) {
                                  {{c, filled({n, m}, 0.0)},
                                   {a, filled({n, m}, 0.5)}},
                                  options),
-            0u);
+            (StridedCounts{0, 0}));
   // Undispatched (one thread), the same loop is strided.
   EXPECT_EQ(expect_bit_identical(flat, {{c, filled({n, m}, 0.0)},
                                         {a, filled({n, m}, 0.5)}}),
-            1u);
+            (StridedCounts{1, 1}));
 }
 
 TEST(Compile, StridedThroughExtentOneLoops) {
-  // A split by 1 leaves extent-1 loops between a loop and its store; their
-  // index is always 0, so the loop above them still runs strided.
+  // A split by 1 leaves extent-1 loops inside a nest; their index is
+  // always 0, so they are no level of it.
   Tensor o = placeholder({5, 8}, "O");
   Tensor a = placeholder({5, 8}, "A");
   Var i = make_var("i"), p = make_var("p"), j = make_var("j"),
@@ -599,7 +615,7 @@ TEST(Compile, StridedThroughExtentOneLoops) {
   Stmt inner = make_for(j, 8, ForKind::kSerial,
                         make_for(q, 1, ForKind::kSerial, store));
   // A closure nest first leaves non-zero values in the same four
-  // registers, which the strided loop must not read for p and q.
+  // registers, which the strided nest must not read for p and q.
   Var w = make_var("w"), x = make_var("x"), y = make_var("y"),
       z = make_var("z");
   Stmt nest = make_for(
@@ -615,7 +631,7 @@ TEST(Compile, StridedThroughExtentOneLoops) {
         {nest, make_for(i, 5, ForKind::kSerial, make_for(p, 1, kind, inner))});
     EXPECT_EQ(expect_bit_identical(program, {{o, filled({5, 8}, 0.5)},
                                              {a, filled({5, 8}, -1.5)}}),
-              1u);
+              (StridedCounts{1, 2}));
   }
 }
 
@@ -638,31 +654,240 @@ TEST(Compile, StridedFormSkipsOtherShapes) {
     EXPECT_EQ(expect_bit_identical(make_for(i, 6, ForKind::kSerial, body),
                                    {{o, filled({6}, 0.5)},
                                     {a, filled({6}, -2.0)}}),
-              0u);
+              (StridedCounts{0, 0}));
   }
 }
 
+/// Runs a kernel's program for `tiles` through expect_bit_identical.
+StridedCounts expect_kernel_bit_identical(
+    const std::string& kernel, const std::vector<std::int64_t>& tiles) {
+  SCOPED_TRACE(kernel + " " + ::testing::PrintToString(tiles));
+  const auto data = kernels::make_te_kernel_data(
+      kernel, kernels::polybench_dims(kernel, kernels::Dataset::kMini));
+  kernels::TeProgramInstance instance(data, tiles);
+  std::vector<std::pair<Tensor, NDArray>> arrays;
+  for (const auto& [tensor, array] : instance.bindings()) {
+    arrays.emplace_back(tensor, *array);
+  }
+  return expect_bit_identical(instance.stmt(), arrays);
+}
+
+TEST(Compile, StridedNestLuDecidesRowGuardOutside) {
+  // lu's update guard i2 > k && j > k: the i2 conjunct narrows an i2 level
+  // above the j levels, and small inner tiles make many short inner loops.
+  // Each case is the pivot scale (1 level) plus the update nest.
+  EXPECT_EQ(expect_kernel_bit_identical("lu", {1, 2}), (StridedCounts{2, 4}));
+  EXPECT_EQ(expect_kernel_bit_identical("lu", {2, 1}), (StridedCounts{2, 4}));
+  EXPECT_EQ(expect_kernel_bit_identical("lu", {1, 1}), (StridedCounts{2, 3}));
+  EXPECT_EQ(expect_kernel_bit_identical("lu", {40, 1}), (StridedCounts{2, 3}));
+}
+
+TEST(Compile, StridedNestCholeskyTailGuards) {
+  // Tiles {3,7} do not divide N = 40: the i2 < 40 tail guard sits between
+  // the i2 and j loops and j < 40 inside them, and i2 > k, j > k, j <= i2
+  // follow. Conjuncts on i2 narrow i2.inner; those on j narrow j.inner.
+  EXPECT_EQ(expect_kernel_bit_identical("cholesky", {3, 7}),
+            (StridedCounts{2, 1 + 4}));
+}
+
+TEST(Compile, StridedNestExtentOneMidNest) {
+  Tensor o = placeholder({5, 5, 3}, "O");
+  Tensor a = placeholder({4, 6}, "A");
+  Tensor b = placeholder({5, 3}, "B");
+  Var i = make_var("i"), p = make_var("p"), j = make_var("j"),
+      q = make_var("q"), r = make_var("r");
+  // p and q have extent 1 between the levels i, j and r; the conjunct on
+  // p and q alone is decided once at entry.
+  Stmt store = make_if(
+      logical_and(logical_and(gt(i + p, imm(0)), le(j + q, i + imm(2))),
+                  logical_and(lt(r + p, imm(2)), lt(p + q, imm(1)))),
+      make_store(o, {i + p, j, r + q},
+                 access(o, {i + p, j, r + q}) +
+                     access(a, {i, j + p}) * access(b, {j, r})));
+  Stmt program = make_for(
+      i, 4, ForKind::kSerial,
+      make_for(p, 1, ForKind::kSerial,
+               make_for(j, 5, ForKind::kSerial,
+                        make_for(q, 1, ForKind::kSerial,
+                                 make_for(r, 3, ForKind::kSerial, store)))));
+  EXPECT_EQ(expect_bit_identical(program, {{o, filled({5, 5, 3}, 0.5)},
+                                           {a, filled({4, 6}, -1.5)},
+                                           {b, filled({5, 3}, 2.25)}}),
+            (StridedCounts{1, 3}));
+}
+
+TEST(Compile, StridedNestNegativeOuterStride) {
+  Tensor o = placeholder({5, 6}, "O");
+  Tensor a = placeholder({5, 6}, "A");
+  Tensor b = placeholder({6, 5}, "B");
+  Var i = make_var("i"), j = make_var("j");
+  // The outer level steps O and A backwards; 3 - i >= 0 lowers its upper
+  // bound, and j + i >= 4 raises the inner level's lower bound.
+  Stmt program = make_for(
+      i, 5, ForKind::kSerial,
+      make_for(j, 6, ForKind::kSerial,
+               make_if(logical_and(le(i, imm(3)), ge(j + i, imm(4))),
+                       make_store(o, {imm(4) - i, imm(5) - j},
+                                  access(o, {imm(4) - i, imm(5) - j}) -
+                                      access(a, {imm(4) - i, j}) *
+                                          access(b, {j, imm(4) - i})))));
+  EXPECT_EQ(expect_bit_identical(program, {{o, filled({5, 6}, 1.0)},
+                                           {a, filled({5, 6}, 0.25)},
+                                           {b, filled({6, 5}, -0.5)}}),
+            (StridedCounts{1, 2}));
+}
+
+TEST(Compile, StridedNestGuardFailsAtOuterLevel) {
+  Tensor o = placeholder({4, 6}, "O");
+  Tensor a = placeholder({4, 6}, "A");
+  Var t = make_var("t"), i = make_var("i"), j = make_var("j");
+  // The nest is entered once per t; each guard empties it on every entry,
+  // at the i level or at entry, before any inner level runs.
+  for (const Expr& guard :
+       {ge(i, t + imm(4)),                                  // lo >= extent
+        logical_and(ge(j, imm(1)), lt(i + t, imm(0))),      // hi <= 0
+        logical_and(gt(t, imm(5)), ge(j, i))}) {            // at entry
+    SCOPED_TRACE(to_string(guard));
+    Stmt nest = make_for(
+        i, 4, ForKind::kSerial,
+        make_for(j, 6, ForKind::kSerial,
+                 make_if(guard, make_store(o, {i, j}, access(a, {i, j})))));
+    Stmt other = make_for(
+        j, 6, ForKind::kSerial,
+        make_store(o, {t, j}, access(o, {t, j}) + access(a, {t, j})));
+    Stmt program = make_for(t, 3, ForKind::kSerial, make_seq({nest, other}));
+    EXPECT_EQ(expect_bit_identical(program, {{o, filled({4, 6}, 0.5)},
+                                             {a, filled({4, 6}, 1.5)}}),
+              (StridedCounts{2, 3}));
+  }
+}
+
+TEST(Compile, StridedNestInsideParallelChunk) {
+  const std::int64_t n = 16;
+  Tensor c = placeholder({n, 15}, "C");
+  Tensor a = placeholder({n, 3}, "A");
+  Var i = make_var("i"), j = make_var("j"), q = make_var("q");
+  // The dispatched parallel i loop keeps its chunks; the j, q nest runs
+  // from each chunk's private register file, its guard on the chunk's i.
+  Stmt program = make_for(
+      i, n, ForKind::kParallel,
+      make_for(j, 5, ForKind::kSerial,
+               make_for(q, 3, ForKind::kSerial,
+                        make_if(le(j * imm(3) + q, i + imm(4)),
+                                make_store(c, {i, j * imm(3) + q},
+                                           access(c, {i, j * imm(3) + q}) +
+                                               access(a, {i, q}) *
+                                                   access(a, {j, q}))))));
+  CompileOptions options;
+  options.parallel_threads = 4;
+  EXPECT_EQ(expect_bit_identical(program,
+                                 {{c, filled({n, 15}, 0.0)},
+                                  {a, filled({n, 3}, 0.5)}},
+                                 options),
+            (StridedCounts{1, 2}));
+}
+
+TEST(Compile, StridedNestDeeperThanLevelCap) {
+  // Ten levels of extent 2, two past the cap of 8: the two outer loops
+  // stay closures around a nest of the eight inside them.
+  const int depth = 10;
+  std::vector<Var> vars;
+  Expr flat = imm(0);
+  for (int d = 0; d < depth; ++d) {
+    vars.push_back(make_var("v" + std::to_string(d)));
+    flat = flat + vars[d] * imm(std::int64_t{1} << d);
+  }
+  Tensor o = placeholder({1 << depth}, "O");
+  Tensor a = placeholder({2}, "A");
+  Stmt program =
+      make_store(o, {flat}, access(o, {flat}) * access(a, {vars[0]}));
+  for (int d = depth - 1; d >= 0; --d) {
+    program = make_for(vars[d], 2, ForKind::kSerial, program);
+  }
+  EXPECT_EQ(expect_bit_identical(program, {{o, filled({1 << depth}, 0.5)},
+                                           {a, filled({2}, -1.25)}}),
+            (StridedCounts{1, 8}));
+}
+
 TEST(Compile, StridedLoopsInServeKernels) {
-  // The innermost loops of the serve-mix mini kernels: init nests, the
-  // guarded MACs, lu/cholesky's pivot scale and trailing update
-  // (cholesky's carries a four-term conjunct). cholesky's sqrt stays a
-  // closure.
-  // Tiles of 1 leave extent-1 inner loops, which the loop above runs
-  // through.
-  const std::vector<std::pair<std::string, std::vector<std::int64_t>>> cases =
-      {{"gemm", {4, 3}},     {"gemm", {4, 1}}, {"lu", {4, 2}},
-       {"lu", {1, 1}},       {"cholesky", {4, 2}},
-       {"3mm", {4, 4, 4, 4, 4, 4}}};
-  const std::vector<std::size_t> expected = {2, 2, 2, 2, 2, 6};
-  for (std::size_t c = 0; c < cases.size(); ++c) {
-    const auto& [kernel, tiles] = cases[c];
-    SCOPED_TRACE(kernel);
+  // The loop nests of the serve-mix mini kernels: init nests, the guarded
+  // MACs, lu/cholesky's pivot scale and trailing update (cholesky's
+  // carries a four-term conjunct). cholesky's sqrt stays a closure.
+  // Tiles of 1 leave extent-1 loops, which are no level of their nest:
+  // gemm {4,3}'s MAC nest runs its 5 levels, {4,1}'s 4.
+  struct Case {
+    std::string kernel;
+    std::vector<std::int64_t> tiles;
+    StridedCounts expected;
+  };
+  const std::vector<Case> cases = {
+      {"gemm", {4, 3}, {2, 2 + 5}},
+      {"gemm", {4, 1}, {2, 2 + 4}},
+      {"lu", {4, 2}, {2, 1 + 4}},
+      {"lu", {1, 1}, {2, 1 + 2}},
+      {"cholesky", {4, 2}, {2, 1 + 4}},
+      {"3mm", {4, 4, 4, 4, 4, 4}, {6, 3 * (2 + 5)}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.kernel + " " + ::testing::PrintToString(c.tiles));
     const auto data = kernels::make_te_kernel_data(
-        kernel, kernels::polybench_dims(kernel, kernels::Dataset::kMini));
-    kernels::TeProgramInstance instance(data, tiles);
-    EXPECT_EQ(CompiledProgram::compile(instance.stmt(), instance.bindings())
-                  .num_strided_loops(),
-              expected[c]);
+        c.kernel, kernels::polybench_dims(c.kernel, kernels::Dataset::kMini));
+    kernels::TeProgramInstance instance(data, c.tiles);
+    const CompiledProgram compiled =
+        CompiledProgram::compile(instance.stmt(), instance.bindings());
+    EXPECT_EQ((StridedCounts{compiled.num_strided_loops(),
+                             compiled.num_strided_levels()}),
+              c.expected);
+  }
+}
+
+/// Loops of extent > 1 in the perfect chain from `stmt` down (loops and
+/// else-less guards, then one store), or nullopt when it ends elsewhere.
+std::optional<std::size_t> chain_levels(const StmtNode* stmt) {
+  switch (stmt->kind()) {
+    case StmtKind::kStore:
+      return 0;
+    case StmtKind::kFor: {
+      const auto* node = static_cast<const ForNode*>(stmt);
+      const std::optional<std::size_t> inner = chain_levels(node->body.get());
+      if (!inner) return std::nullopt;
+      return *inner + (node->extent > 1 ? 1 : 0);
+    }
+    case StmtKind::kIfThenElse: {
+      const auto* node = static_cast<const IfThenElseNode*>(stmt);
+      if (node->else_case) return std::nullopt;
+      return chain_levels(node->then_case.get());
+    }
+    default:
+      return std::nullopt;
+  }
+}
+
+/// chain_levels summed over the outermost chains in `stmt`.
+std::size_t nest_levels(const StmtNode* stmt) {
+  switch (stmt->kind()) {
+    case StmtKind::kFor: {
+      if (const std::optional<std::size_t> levels = chain_levels(stmt)) {
+        return *levels;
+      }
+      return nest_levels(static_cast<const ForNode*>(stmt)->body.get());
+    }
+    case StmtKind::kSeq: {
+      std::size_t levels = 0;
+      for (const Stmt& child : static_cast<const SeqNode*>(stmt)->stmts) {
+        levels += nest_levels(child.get());
+      }
+      return levels;
+    }
+    case StmtKind::kIfThenElse: {
+      const auto* node = static_cast<const IfThenElseNode*>(stmt);
+      return nest_levels(node->then_case.get()) +
+             (node->else_case ? nest_levels(node->else_case.get()) : 0);
+    }
+    case StmtKind::kRealize:
+      return nest_levels(static_cast<const RealizeNode*>(stmt)->body.get());
+    default:
+      return 0;
   }
 }
 
@@ -670,7 +895,10 @@ class CompileServeMixSweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CompileServeMixSweep, ClosureBitIdenticalToInterpreter) {
   // 200 sampled configs of the kernel's mini space (the serve-mix
-  // workload's); each distinct config runs once per tier.
+  // workload's); each distinct config runs once per tier. Every loop chain
+  // of these kernels — the update/MAC nest among them — must run as one
+  // strided nest of all its non-unit loops (cholesky's sqrt chain, the one
+  // store of no strided shape, has none).
   const std::string kernel = GetParam();
   const std::vector<std::int64_t> dims =
       kernels::polybench_dims(kernel, kernels::Dataset::kMini);
@@ -684,6 +912,11 @@ TEST_P(CompileServeMixSweep, ClosureBitIdenticalToInterpreter) {
   std::sort(configs.begin(), configs.end());
   configs.erase(std::unique(configs.begin(), configs.end()), configs.end());
   for (const std::vector<std::int64_t>& tiles : configs) {
+    kernels::TeProgramInstance instance(data, tiles);
+    EXPECT_EQ(CompiledProgram::compile(instance.stmt(), instance.bindings())
+                  .num_strided_levels(),
+              nest_levels(instance.stmt().get()))
+        << kernel << " tiles " << ::testing::PrintToString(tiles);
     const NDArray oracle =
         kernels::run_te_backend(data, tiles, runtime::ExecBackend::kInterp);
     const NDArray closure =

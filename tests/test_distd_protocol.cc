@@ -61,6 +61,25 @@ TEST(DistdProtocol, SequentialFramesKeepBoundaries) {
   }
 }
 
+TEST(DistdProtocol, FrameIsSentInOneCall) {
+  // A seqpacket pair keeps each send call's bytes as one record, so one
+  // recv returns the whole frame only if prefix and payload left together:
+  // a reader polling the socket never wakes to the prefix alone.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds), 0);
+  const Socket writer(fds[0]);
+  const Socket reader(fds[1]);
+  Json message = Json::object();
+  message.set("type", "result");
+  message.set("payload", std::string(300, 'x'));
+  const std::size_t frame_bytes = 4 + message.dump().size();
+  ASSERT_EQ(write_frame(writer.fd(), message), FrameStatus::kOk);
+  std::vector<char> buffer(2 * frame_bytes);
+  const ssize_t n =
+      ::recv(reader.fd(), buffer.data(), buffer.size(), MSG_DONTWAIT);
+  EXPECT_EQ(n, static_cast<ssize_t>(frame_bytes));
+}
+
 TEST(DistdProtocol, ReadTimesOutWithoutData) {
   SocketPair pair;
   Json decoded;
