@@ -273,9 +273,11 @@ void WorkerPool::spawn(Worker& worker) {
     break;
   }
 
-  Json event = worker_event("worker_spawn", worker);
-  event.set("generation", worker.generation);
-  trace(std::move(event));
+  if (tracing()) {
+    Json event = worker_event("worker_spawn", worker);
+    event.set("generation", worker.generation);
+    trace(std::move(event));
+  }
 }
 
 WorkerPool::Worker* WorkerPool::acquire() {
@@ -350,9 +352,11 @@ std::string WorkerPool::collect_exit(Worker& worker, bool force_kill) {
   if (force_kill) ::kill(worker.pid, SIGKILL);
   const int status = reap(worker.pid, force_kill ? 2000 : 5000);
   const std::string description = describe_wait_status(status);
-  Json event = worker_event("worker_exit", worker);
-  event.set("status", description);
-  trace(std::move(event));
+  if (tracing()) {
+    Json event = worker_event("worker_exit", worker);
+    event.set("status", description);
+    trace(std::move(event));
+  }
   worker.socket.close();
   {
     std::lock_guard<std::mutex> pid_lock(pid_mutex_);
@@ -370,13 +374,15 @@ int WorkerPool::backoff_ms_for(const Worker& worker) const {
 void WorkerPool::respawn_after_failure(Worker& worker) {
   worker.consecutive_failures += 1;
   const int backoff_ms = backoff_ms_for(worker);
-  Json event = Json::object();
-  event.set("event", "worker_respawn");
-  event.set("worker", worker.id);
-  event.set("failures", worker.consecutive_failures);
-  event.set("backoff_ms", backoff_ms);
-  event.set("deferred", backoff_ms > 0);
-  trace(std::move(event));
+  if (tracing()) {
+    Json event = Json::object();
+    event.set("event", "worker_respawn");
+    event.set("worker", worker.id);
+    event.set("failures", worker.consecutive_failures);
+    event.set("backoff_ms", backoff_ms);
+    event.set("deferred", backoff_ms > 0);
+    trace(std::move(event));
+  }
   if (backoff_ms > 0) {
     // Park the slot instead of sleeping: a sleep here blocks the thread
     // that is dispatching trials, stalling the whole pipeline while the
@@ -428,7 +434,7 @@ runtime::MeasureResult WorkerPool::measure_on(Worker& worker,
     }
   }
 
-  {
+  if (tracing()) {
     Json event = worker_event("worker_dispatch", worker);
     event.set("trial", request.trial);
     event.set("workload", request.workload.id());
@@ -464,9 +470,11 @@ runtime::MeasureResult WorkerPool::measure_on(Worker& worker,
     if (status == FrameStatus::kOk) {
       const std::string type = frame_type(message);
       if (type == "heartbeat") {
-        Json event = worker_event("worker_heartbeat", worker);
-        event.set("trial", request.trial);
-        trace(std::move(event));
+        if (tracing()) {
+          Json event = worker_event("worker_heartbeat", worker);
+          event.set("trial", request.trial);
+          trace(std::move(event));
+        }
         continue;
       }
       if (type != "result") continue;  // ignore unknown frames
@@ -485,7 +493,7 @@ runtime::MeasureResult WorkerPool::measure_on(Worker& worker,
       const double elapsed =
           std::chrono::duration<double>(Clock::now() - start).count();
       kills_.fetch_add(1);
-      {
+      if (tracing()) {
         Json event = worker_event("worker_kill", worker);
         event.set("trial", request.trial);
         event.set("reason", "hard timeout");
@@ -593,9 +601,11 @@ void WorkerPool::kill_leased(const Lease& lease) {
   if (lease.generation != lease.worker->lease_generation) return;
   if (lease.worker->pid >= 0) {
     kills_.fetch_add(1);
-    Json event = worker_event("worker_kill", *lease.worker);
-    event.set("reason", "lease kill");
-    trace(std::move(event));
+    if (tracing()) {
+      Json event = worker_event("worker_kill", *lease.worker);
+      event.set("reason", "lease kill");
+      trace(std::move(event));
+    }
     ::kill(lease.worker->pid, SIGKILL);
   }
 }
@@ -656,10 +666,12 @@ void WorkerPool::resize(std::size_t n) {
   }
   free_cv_.notify_all();
   for (Worker* worker : to_shutdown) shutdown_worker(*worker);
-  Json event = Json::object();
-  event.set("event", "pool_resize");
-  event.set("num_workers", static_cast<std::int64_t>(n));
-  trace(std::move(event));
+  if (tracing()) {
+    Json event = Json::object();
+    event.set("event", "pool_resize");
+    event.set("num_workers", static_cast<std::int64_t>(n));
+    trace(std::move(event));
+  }
 }
 
 std::size_t WorkerPool::num_workers() const {

@@ -198,6 +198,8 @@ class WorkerPool {
   void shutdown_worker(Worker& worker);
   void shutdown_all();
   double hard_deadline_s(const runtime::MeasureOption& option) const;
+  /// Trace events are built only when a trace log is attached.
+  bool tracing() const { return options_.trace != nullptr; }
   void trace(Json event);
   Json worker_event(const char* name, const Worker& worker) const;
 

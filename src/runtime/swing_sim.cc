@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 
 namespace tvmbo::runtime {
 
@@ -194,34 +196,31 @@ double SwingSimDevice::stage_time(std::int64_t rows, std::int64_t cols,
   return compressed + params_.launch_overhead_us * 1e-6;
 }
 
-double SwingSimDevice::lu_time(std::int64_t n, std::int64_t ty,
-                               std::int64_t tx) const {
-  // LU without pivoting: n-1 sequential elimination steps. Step k scales
-  // the pivot column (m elements) then applies a rank-1 update to the
-  // m x m trailing submatrix, m = n - 1 - k. Each step is (at least) two
-  // kernel launches; the tiles block the update's (i, j) loops.
+double SwingSimDevice::elimination_time(std::int64_t n, std::int64_t ty,
+                                        std::int64_t tx, double pivot_flops,
+                                        double update_flops) const {
+  if (n < 2) return 0.0;
+  // n-1 sequential elimination steps. Step k scales the pivot column (m
+  // elements) then updates the m x m trailing submatrix, m = n - 1 - k.
+  // Each step is (at least) two kernel launches; the tiles block the
+  // update's (i, j) loops. The terms are independent, so chunks of steps
+  // are evaluated on the pool (inline when called from a pool worker);
+  // the sum then runs serially in step order (pivot_0, update_0, pivot_1,
+  // ...), which keeps every bit of the serial loop's result.
+  const auto steps = static_cast<std::size_t>(n - 1);
+  std::vector<double> terms(2 * steps);
+  default_thread_pool().parallel_for_chunks(
+      steps, 0, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t k = begin; k < end; ++k) {
+          const std::int64_t m = n - 1 - static_cast<std::int64_t>(k);
+          // Pivot-column scale: a thin kernel, tiled along y only.
+          terms[2 * k] = stage_time(m, 1, 1, std::min(ty, m), 1, pivot_flops);
+          // Trailing update: A[i][j] -= A[i][k] * A[k][j].
+          terms[2 * k + 1] = stage_time(m, m, 1, ty, tx, update_flops);
+        }
+      });
   double total = 0.0;
-  for (std::int64_t k = 0; k + 1 < n; ++k) {
-    const std::int64_t m = n - 1 - k;
-    // Pivot-column scale: a thin kernel, tiled along y only.
-    total += stage_time(m, 1, 1, std::min(ty, m), 1, 1.0);
-    // Rank-1 trailing update: A[i][j] -= A[i][k] * A[k][j].
-    total += stage_time(m, m, 1, ty, tx, 2.0);
-  }
-  return total;
-}
-
-double SwingSimDevice::cholesky_time(std::int64_t n, std::int64_t ty,
-                                     std::int64_t tx) const {
-  // Right-looking Cholesky: sqrt + column scale + symmetric rank-1 update
-  // of the lower-triangular trailing matrix (half the elements of the LU
-  // update, same launch structure).
-  double total = 0.0;
-  for (std::int64_t k = 0; k + 1 < n; ++k) {
-    const std::int64_t m = n - 1 - k;
-    total += stage_time(m, 1, 1, std::min(ty, m), 1, 2.0);
-    total += stage_time(m, m, 1, ty, tx, 1.0);
-  }
+  for (double term : terms) total += term;
   return total;
 }
 
@@ -283,11 +282,16 @@ double SwingSimDevice::model_runtime(
   if (workload.kernel == "lu") {
     TVMBO_CHECK_EQ(workload.dims.size(), 1u) << "lu dims must be {N}";
     TVMBO_CHECK_EQ(tiles.size(), 2u) << "lu tiles must be {ty, tx}";
-    base = lu_time(workload.dims[0], tiles[0], tiles[1]);
+    // LU without pivoting: the pivot column is scaled (1 flop per
+    // element), the trailing update is a rank-1 update (2 flops).
+    base = elimination_time(workload.dims[0], tiles[0], tiles[1], 1.0, 2.0);
   } else if (workload.kernel == "cholesky") {
     TVMBO_CHECK_EQ(workload.dims.size(), 1u) << "cholesky dims must be {N}";
     TVMBO_CHECK_EQ(tiles.size(), 2u) << "cholesky tiles must be {ty, tx}";
-    base = cholesky_time(workload.dims[0], tiles[0], tiles[1]);
+    // Right-looking Cholesky: sqrt + column scale, then a symmetric rank-1
+    // update of the lower-triangular trailing matrix (half the elements of
+    // the LU update, same launch structure).
+    base = elimination_time(workload.dims[0], tiles[0], tiles[1], 2.0, 1.0);
   } else {
     base = matmul_chain_time(workload, tiles);
   }

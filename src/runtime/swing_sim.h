@@ -104,9 +104,10 @@ class SwingSimDevice final : public Device {
   double stage_time(std::int64_t rows, std::int64_t cols,
                     std::int64_t depth, std::int64_t ty, std::int64_t tx,
                     double flops_per_element) const;
-  double lu_time(std::int64_t n, std::int64_t ty, std::int64_t tx) const;
-  double cholesky_time(std::int64_t n, std::int64_t ty,
-                       std::int64_t tx) const;
+  /// LU/Cholesky: the n-1 elimination steps, each a pivot-column stage
+  /// and a trailing-update stage with the given flops per element.
+  double elimination_time(std::int64_t n, std::int64_t ty, std::int64_t tx,
+                          double pivot_flops, double update_flops) const;
   double matmul_chain_time(const Workload& workload,
                            std::span<const std::int64_t> tiles) const;
   double calibration_scale(const Workload& workload) const;

@@ -192,11 +192,13 @@ Scheduler::SubmitResult Scheduler::submit(const JobSpec& spec,
   auto reject = [&](const std::string& code, const std::string& message) {
     out.error_code = code;
     out.message = message;
-    Json event = Json::object();
-    event.set("event", "job_reject");
-    event.set("tenant", spec.tenant);
-    event.set("code", code);
-    trace(std::move(event));
+    if (tracing()) {
+      Json event = Json::object();
+      event.set("event", "job_reject");
+      event.set("tenant", spec.tenant);
+      event.set("code", code);
+      trace(std::move(event));
+    }
     return out;
   };
 
@@ -270,15 +272,17 @@ Scheduler::SubmitResult Scheduler::submit(const JobSpec& spec,
     }
     job->id = next_job_id_++;
     out.job = job->id;
-    Json event = Json::object();
-    event.set("event", "job_admit");
-    event.set("job", job->id);
-    event.set("tenant", spec.tenant);
-    event.set("workload", job->workload.id());
-    event.set("strategy", spec.strategy);
-    event.set("budget", static_cast<std::int64_t>(spec.budget));
-    event.set("priority", spec.priority);
-    trace(std::move(event));
+    if (tracing()) {
+      Json event = Json::object();
+      event.set("event", "job_admit");
+      event.set("job", job->id);
+      event.set("tenant", spec.tenant);
+      event.set("workload", job->workload.id());
+      event.set("strategy", spec.strategy);
+      event.set("budget", static_cast<std::int64_t>(spec.budget));
+      event.set("priority", spec.priority);
+      trace(std::move(event));
+    }
     jobs_.emplace(job->id, std::move(job));
     fill_slots_locked();
     wake_dispatchers_locked();
@@ -313,13 +317,15 @@ bool Scheduler::cancel(std::uint64_t job_id, const std::string& reason) {
 
 void Scheduler::finish_cancel_locked(Job& job, const std::string& reason) {
   job.state = JobState::kCancelled;
-  Json event = Json::object();
-  event.set("event", "job_cancel");
-  event.set("job", job.id);
-  event.set("tenant", job.spec.tenant);
-  event.set("reason", reason);
-  event.set("completed", static_cast<std::int64_t>(job.completed));
-  trace(event);
+  if (tracing()) {
+    Json event = Json::object();
+    event.set("event", "job_cancel");
+    event.set("job", job.id);
+    event.set("tenant", job.spec.tenant);
+    event.set("reason", reason);
+    event.set("completed", static_cast<std::int64_t>(job.completed));
+    trace(std::move(event));
+  }
   if (job.sink) {
     Json frame = event_frame("job_cancel", job.id);
     frame.set("reason", reason);
@@ -374,9 +380,11 @@ void Scheduler::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
   if (!draining_) {
     draining_ = true;
-    Json event = Json::object();
-    event.set("event", "serve_drain");
-    trace(std::move(event));
+    if (tracing()) {
+      Json event = Json::object();
+      event.set("event", "serve_drain");
+      trace(std::move(event));
+    }
     // In-flight trials deliver normally (dispatchers keep telling results
     // while we wait); nothing new is proposed because fill_slots_locked
     // checks draining_.
@@ -402,7 +410,7 @@ Json Scheduler::lookup(const LookupSpec& spec) const {
       spec.kernel, spec.size, spec.nthreads,
       static_cast<std::size_t>(spec.topk));
   const double latency_us = watch.elapsed_seconds() * 1e6;
-  {
+  if (tracing()) {
     Json event = Json::object();
     event.set("event", "config_lookup");
     event.set("kernel", spec.kernel);
@@ -488,11 +496,13 @@ void Scheduler::fill_slots_locked() {
 
     if (job->state == JobState::kQueued) {
       job->state = JobState::kRunning;
-      Json event = Json::object();
-      event.set("event", "job_start");
-      event.set("job", job->id);
-      event.set("tenant", job->spec.tenant);
-      trace(std::move(event));
+      if (tracing()) {
+        Json event = Json::object();
+        event.set("event", "job_start");
+        event.set("job", job->id);
+        event.set("tenant", job->spec.tenant);
+        trace(std::move(event));
+      }
       post_locked(job->sink, event_frame("job_start", job->id));
     }
 
@@ -510,7 +520,7 @@ void Scheduler::fill_slots_locked() {
     dispatch.lease = std::move(*lease);
     job->in_flight += 1;
     job->leases.emplace(dispatch.id, dispatch.lease);
-    {
+    if (tracing()) {
       Json event = Json::object();
       event.set("event", "job_dispatch");
       event.set("job", job->id);
@@ -630,7 +640,7 @@ void Scheduler::handle_completion_locked(const Dispatch& dispatch,
   outbox_records_.push_back(std::move(record));
   wake_emitter_locked();
 
-  {
+  if (tracing()) {
     Json event = Json::object();
     event.set("event", "job_trial");
     event.set("job", job.id);
@@ -657,13 +667,15 @@ void Scheduler::handle_completion_locked(const Dispatch& dispatch,
 
   if (job.session->done()) {
     job.state = JobState::kDone;
-    Json event = Json::object();
-    event.set("event", "job_complete");
-    event.set("job", job.id);
-    event.set("tenant", job.spec.tenant);
-    event.set("completed", static_cast<std::int64_t>(job.completed));
-    event.set("slot_seconds", job.slot_seconds);
-    trace(std::move(event));
+    if (tracing()) {
+      Json event = Json::object();
+      event.set("event", "job_complete");
+      event.set("job", job.id);
+      event.set("tenant", job.spec.tenant);
+      event.set("completed", static_cast<std::int64_t>(job.completed));
+      event.set("slot_seconds", job.slot_seconds);
+      trace(std::move(event));
+    }
     if (job.sink) {
       Json frame = event_frame("job_complete", job.id);
       frame.set("completed", static_cast<std::int64_t>(job.completed));

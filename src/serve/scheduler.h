@@ -219,6 +219,8 @@ class Scheduler {
   /// Queues one frame for the emitter (nothing for a null sink).
   void post_locked(const EventSink& sink, Json frame);
   void wake_emitter_locked();
+  /// Trace events are built only when a trace log is attached.
+  bool tracing() const { return options_.trace != nullptr; }
   void trace(Json event) const;
 
   SchedulerOptions options_;

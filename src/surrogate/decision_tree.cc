@@ -39,7 +39,8 @@ void DecisionTree::fit(const Dataset& data,
   }
   const FeatureColumns columns(data);
   TreeScratch scratch(working.size(), columns.num_features());
-  reserve_nodes(working, data.size());
+  RowMarks marks(data.size());
+  reserve_nodes(working, marks);
   fit(columns, data.y, working, rng, scratch);
 }
 
@@ -70,16 +71,21 @@ void DecisionTree::fit(const FeatureColumns& columns,
   if (rng != nullptr) *rng = stream;
 }
 
-void DecisionTree::reserve_nodes(std::span<const std::uint32_t> rows,
-                                 std::size_t num_rows) {
-  std::vector<bool> seen(num_rows);
+std::size_t RowMarks::count_distinct(std::span<const std::uint32_t> rows) {
+  ++stamp_;
   std::size_t distinct = 0;
   for (std::uint32_t row : rows) {
-    if (!seen[row]) {
-      seen[row] = true;
+    if (marks_[row] != stamp_) {
+      marks_[row] = stamp_;
       ++distinct;
     }
   }
+  return distinct;
+}
+
+void DecisionTree::reserve_nodes(std::span<const std::uint32_t> rows,
+                                 RowMarks& marks) {
+  const std::size_t distinct = marks.count_distinct(rows);
   std::size_t nodes = distinct == 0 ? 0 : 2 * distinct - 1;
   if (options_.max_depth < 32) {
     nodes = std::min(nodes, (std::size_t{2} << options_.max_depth) - 1);

@@ -66,6 +66,22 @@ struct TreeScratch {
       : keys(sample_rows), features(num_features) {}
 };
 
+/// Counts the distinct rows of successive samples of one dataset without
+/// clearing anything between them: a row was seen in the current sample
+/// when its mark holds the sample's stamp. One instance serves every tree
+/// of an ensemble fit (fewer than 2^32 samples), so planning a tree
+/// allocates nothing.
+class RowMarks {
+ public:
+  explicit RowMarks(std::size_t num_rows) : marks_(num_rows) {}
+
+  std::size_t count_distinct(std::span<const std::uint32_t> rows);
+
+ private:
+  std::vector<std::uint32_t> marks_;
+  std::uint32_t stamp_ = 0;
+};
+
 class DecisionTree {
  public:
   explicit DecisionTree(TreeOptions options = {});
@@ -82,12 +98,11 @@ class DecisionTree {
   void fit(const FeatureColumns& columns, std::span<const double> y,
            std::span<std::uint32_t> rows, Rng* rng, TreeScratch& scratch);
 
-  /// Reserves the most nodes a fit on `rows` (of a `num_rows`-row dataset)
-  /// can create: every leaf holds at least one distinct row (copies of a
-  /// row never split apart), so u distinct rows give at most u leaves and
-  /// 2u - 1 nodes; max_depth caps the count too.
-  void reserve_nodes(std::span<const std::uint32_t> rows,
-                     std::size_t num_rows);
+  /// Reserves the most nodes a fit on `rows` can create: every leaf holds
+  /// at least one distinct row (copies of a row never split apart), so u
+  /// distinct rows give at most u leaves and 2u - 1 nodes; max_depth caps
+  /// the count too. `marks` covers the rows' dataset.
+  void reserve_nodes(std::span<const std::uint32_t> rows, RowMarks& marks);
 
   double predict(std::span<const double> features) const;
 

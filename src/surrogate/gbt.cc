@@ -39,6 +39,7 @@ void GradientBoostedTrees::fit(const Dataset& data, Rng& rng) {
              options_.subsample * static_cast<double>(n))));
   std::vector<std::uint32_t> rows(sample_size);
   TreeScratch scratch(rows.size(), columns.num_features());
+  RowMarks marks(n);
 
   double previous_rmse = std::numeric_limits<double>::infinity();
   for (int round = 0; round < options_.num_rounds; ++round) {
@@ -54,7 +55,7 @@ void GradientBoostedTrees::fit(const Dataset& data, Rng& rng) {
       std::iota(rows.begin(), rows.end(), std::uint32_t{0});
     }
     DecisionTree tree(options_.tree);
-    tree.reserve_nodes(rows, n);
+    tree.reserve_nodes(rows, marks);
     tree.fit(columns, residuals, rows, &round_rng, scratch);
 
     double sq_error = 0.0;

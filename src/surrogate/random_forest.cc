@@ -66,6 +66,7 @@ void RandomForest::fit_and_score(
   const std::size_t stride = (sample_size + 15) / 16 * 16;
   std::vector<std::uint32_t> rows(num_trees * stride);
   trees_.assign(num_trees, DecisionTree(tree_options));
+  RowMarks marks(n);
 
   // One feature-major copy shared by every tree; one scratch slot per
   // participant.
@@ -100,7 +101,7 @@ void RandomForest::fit_and_score(
     } else {
       std::iota(tree_rows.begin(), tree_rows.end(), std::uint32_t{0});
     }
-    trees_[t].reserve_nodes(tree_rows, n);
+    trees_[t].reserve_nodes(tree_rows, marks);
     trees.extend(t + 1);
   }
   const std::span<const double> features =

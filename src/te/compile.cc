@@ -805,8 +805,8 @@ FStmt Compiler::compile_store(const StoreNode* node) {
 /// loop's body one loop, else-less guards of affine conjuncts anywhere in
 /// between, then one store — into one StridedNest when the store has one
 /// of the shapes
-///   T[f] = T[f] op (X[g] op2 Y[h]),   T[f] = T[f] op X[g],
-///   T[f] = X[g],                      T[f] = const
+///   T[f] = T[f] ± (X[g] * Y[h]),   T[f] = T[f] op X[g],
+///   T[f] = X[g],                  T[f] = const
 /// and every offset folds. Extent-1 loops (a split by 1) run their body
 /// once at index 0, so they are no level of the nest. Binds the chain's
 /// registers for folding (the caller unbinds them). nullopt otherwise.
@@ -948,21 +948,30 @@ std::optional<FStmt> Compiler::strided_store(const StoreNode* store,
           });
     });
   }
+  // The three-access nest is instantiated only for the multiply-accumulate
+  // forms the TE kernels produce (add or sub over mul); any other pair
+  // takes the general closure path.
   if (rhs->kind() != ExprKind::kBinary) return std::nullopt;
   const auto* product = static_cast<const BinaryNode*>(rhs);
+  if (product->op != BinaryOp::kMul ||
+      (binary->op != BinaryOp::kAdd && binary->op != BinaryOp::kSub)) {
+    return std::nullopt;
+  }
   const auto x = load(product->a.get());
   const auto y = load(product->b.get());
   if (!x || !y) return std::nullopt;
-  return with_value_op(binary->op, [&](auto op) {
-    return with_value_op(product->op, [&](auto op2) {
-      return strided_nest(
-          shape, std::array{*dest, x->second, y->second},
-          [t, x = x->first, y = y->first, op, op2](
-              std::int64_t d, std::int64_t a, std::int64_t b) {
-            t[d] = op(t[d], op2(x[a], y[b]));
-          });
-    });
-  });
+  const auto mac = [&](auto op) {
+    return strided_nest(
+        shape, std::array{*dest, x->second, y->second},
+        [t, x = x->first, y = y->first, op](std::int64_t d, std::int64_t a,
+                                            std::int64_t b) {
+          t[d] = op(t[d], x[a] * y[b]);
+        });
+  };
+  if (binary->op == BinaryOp::kAdd) {
+    return mac([](double a, double b) { return a + b; });
+  }
+  return mac([](double a, double b) { return a - b; });
 }
 
 FStmt Compiler::compile_stmt(const StmtNode* stmt) {

@@ -17,7 +17,7 @@
 //     dispatched on the pool is no part of one) over one store — each
 //     loop's body one loop, else-less guards of affine conjuncts anywhere
 //     in between — becomes one strided nest when the store is
-//       T[f] = T[f] op (X[g] op2 Y[h]),  T[f] = T[f] op X[g],
+//       T[f] = T[f] ± (X[g] * Y[h]),  T[f] = T[f] op X[g],
 //       T[f] = X[g]  or  T[f] = const
 //     and every offset folds. Loops of extent 1 are no level of it (their
 //     index is 0); past 8 levels or 8 conjuncts, the outer loops stay

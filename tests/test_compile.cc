@@ -648,6 +648,9 @@ TEST(Compile, StridedFormSkipsOtherShapes) {
         make_store(o, {i}, access(o, {i}) + access(a, {i}) *
                                               make_float(2.0)),
         make_store(o, {i}, sqrt_expr(access(a, {i}))),
+        // Three-access forms other than add/sub over mul.
+        make_store(o, {i}, access(o, {i}) * (access(a, {i}) * access(a, {i}))),
+        make_store(o, {i}, access(o, {i}) + access(a, {i}) / access(a, {i})),
         make_store(o, {floor_mod(i + imm(1), imm(6))}, access(a, {i})),
         make_seq({store, store})}) {
     SCOPED_TRACE(to_string(body));

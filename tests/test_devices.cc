@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <thread>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "kernels/polybench.h"
 #include "runtime/cpu_device.h"
 #include "runtime/swing_sim.h"
@@ -348,6 +350,61 @@ TEST(SwingSim, MeasureIsBitIdenticalToSurfaceAndPowerModels) {
       EXPECT_EQ(result.compile_s, device.compile_time(w, input.tiles));
     }
   }
+}
+
+// Hash of the bit patterns of `model` (model_runtime or surface_runtime)
+// over every configuration of the lu and cholesky spaces at large and
+// extralarge: the elimination-step model at every shape it is tuned on.
+template <class Model>
+std::uint64_t step_model_hash(const Model& model) {
+  std::uint64_t hash = 0;
+  for (const char* kernel : {"lu", "cholesky"}) {
+    for (kernels::Dataset dataset :
+         {kernels::Dataset::kLarge, kernels::Dataset::kExtraLarge}) {
+      const Workload w = kernels::make_workload(kernel, dataset);
+      const cs::ConfigurationSpace space =
+          kernels::build_space(kernel, w.dims);
+      for (std::uint64_t flat = 0; flat < space.cardinality(); ++flat) {
+        const auto tiles = space.values_int(space.from_flat_index(flat));
+        hash = hash_combine(hash,
+                            std::bit_cast<std::uint64_t>(model(w, tiles)));
+      }
+    }
+  }
+  return hash;
+}
+
+TEST(SwingSim, StepSumIsBitIdentical) {
+  // The hashes come from the serial step loop (one stage_time term added
+  // after another); the step terms may be evaluated anywhere as long as
+  // they are summed in that order.
+  constexpr std::uint64_t kModelHash = 0xfbc5b7011c357ff3ull;
+  constexpr std::uint64_t kSurfaceHash = 0x86cbaad280987a58ull;
+  const SwingSimDevice device;
+  const auto model = [&](const Workload& w, std::span<const std::int64_t> t) {
+    return device.model_runtime(w, t);
+  };
+  const auto surface = [&](const Workload& w,
+                           std::span<const std::int64_t> t) {
+    return device.surface_runtime(w, t);
+  };
+  EXPECT_EQ(step_model_hash(model), kModelHash);
+
+  // From inside a pool task, where the steps run inline.
+  ThreadPool& pool = default_thread_pool();
+  EXPECT_EQ(pool.submit([&] {
+                  EXPECT_TRUE(pool.in_worker_thread());
+                  return step_model_hash(model);
+                }).get(),
+            kModelHash);
+
+  // Two callers at once, each with its own pass over the pool.
+  std::uint64_t hashes[2] = {};
+  std::thread other([&] { hashes[1] = step_model_hash(surface); });
+  hashes[0] = step_model_hash(surface);
+  other.join();
+  EXPECT_EQ(hashes[0], kSurfaceHash);
+  EXPECT_EQ(hashes[1], kSurfaceHash);
 }
 
 TEST(SwingSim, PathologicalConfigsAreDeterministicallySlower) {

@@ -95,6 +95,25 @@ TEST(DecisionTree, RandomFeatureSubsettingRequiresRng) {
   EXPECT_THROW(tree.fit(data), CheckError);
 }
 
+TEST(DecisionTree, RowMarksCountEachSampleAfresh) {
+  // One RowMarks across successive bootstrap samples (as a forest plans
+  // its trees) counts each sample's distinct rows as a fresh set would.
+  RowMarks marks(50);
+  Rng rng(3);
+  for (int sample = 0; sample < 200; ++sample) {
+    std::vector<std::uint32_t> rows(1 + sample % 80);
+    for (std::uint32_t& row : rows) {
+      row = static_cast<std::uint32_t>(rng.uniform_int(50));
+    }
+    std::vector<std::uint32_t> sorted = rows;
+    std::sort(sorted.begin(), sorted.end());
+    const auto distinct = static_cast<std::size_t>(
+        std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+    EXPECT_EQ(marks.count_distinct(rows), distinct) << "sample " << sample;
+  }
+  EXPECT_EQ(marks.count_distinct({}), 0u);
+}
+
 TEST(RandomForest, BetterThanSingleNoisyTreeOnHoldout) {
   Rng rng(7);
   Dataset train = quadratic_dataset(300, rng);
